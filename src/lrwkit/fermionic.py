@@ -5,6 +5,11 @@ choosing a partition of every n_i is one configuration, and its contribution
 is a product of binomials in the vacancy numbers. A binomial with a negative
 vacancy number vanishes even on rows of size zero, so any configuration with
 a negative vacancy number anywhere contributes nothing.
+
+Both searches fix nodes in index order. The weight coefficient and the node
+factor at node k depend only on k and its Dynkin neighbours, so each settles
+when the last of them is fixed (``_ready_at``), and a branch is cut there on a
+negative coefficient (decomposition scan) or a zero factor (configuration sum).
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from functools import lru_cache
 from math import comb, floor
 from typing import Iterable, Sequence
 
-from .lie import LieSpec, cartan_matrix, root_coords_of_weight_vector
+from .lie import LieSpec, adjacency, cartan_matrix, root_coords_of_weight_vector
 from .partitions import DominantWeight, Partition, partitions_of
 
 
@@ -51,18 +56,27 @@ class FactorList:
 
 @dataclass(frozen=True)
 class Configuration:
-    """One partition per Dynkin node."""
+    """One partition per Dynkin node; only values not yet partitions are validated."""
 
     nus: tuple[Partition, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nus", tuple(Partition(nu) for nu in self.nus))
+        nus = tuple(p if isinstance(p, Partition) else Partition(p) for p in self.nus)
+        object.__setattr__(self, "nus", nus)
 
 
 def _coerce_factors(factors: FactorList | Iterable[tuple[int, int]]) -> FactorList:
     if isinstance(factors, FactorList):
         return factors
     return FactorList(tuple(factors))
+
+
+def _ready_at(spec: LieSpec) -> list[list[int]]:
+    """Nodes grouped by the index at which they and all their neighbours are fixed."""
+    ready_at: list[list[int]] = [[] for _ in range(spec.rank)]
+    for k, nbrs in enumerate(adjacency(spec)):
+        ready_at[max((k, *nbrs))].append(k)
+    return ready_at
 
 
 @lru_cache(maxsize=None)
@@ -109,9 +123,7 @@ def vacancy(
     k = node - 1
     total = sum(min(n, m) for m, l in factors.factors if l == node)
     total -= 2 * sum(min(n, h) for h in config.nus[k])
-    for j in range(spec.rank):
-        if j == k or c[k][j] == 0:
-            continue
+    for j in adjacency(spec)[k]:
         a, b = -c[k][j], -c[j][k]
         total += sum(min(a * n, b * h) for h in config.nus[j])
     return total
@@ -128,15 +140,13 @@ def _node_factor(
     Vacancy numbers are scanned up to the point where every min() saturates;
     beyond that they are constant, so the scan decides the sign everywhere.
     """
-    c = cartan_matrix(spec)
     nu = config_nus[k]
-    scan_to = max((m for m, l in factors.factors if l == k + 1), default=0)
+    scan_to = max((m for m, l in factors.factors if l == k + 1), default=1)
     if nu:
         scan_to = max(scan_to, nu[0])
-    for j in range(spec.rank):
-        if j != k and c[k][j] != 0 and config_nus[j]:
+    for j in adjacency(spec)[k]:
+        if config_nus[j]:
             scan_to = max(scan_to, 2 * config_nus[j][0])
-    scan_to = max(scan_to, 1)
     row_counts: dict[int, int] = {}
     for h in nu:
         row_counts[h] = row_counts.get(h, 0) + 1
@@ -153,21 +163,9 @@ def _node_factor(
 
 
 def _config_sum(spec: LieSpec, factors: FactorList, nvec: tuple[int, ...]) -> int:
-    """Sum of binomial products over all configurations for fixed coordinates.
-
-    Nodes are filled in index order; the factor at a node is evaluated (and
-    the branch pruned on zero) as soon as the node and all its neighbors are
-    fixed.
-    """
+    """Sum of binomial products over all configurations for fixed coordinates."""
     rank = spec.rank
-    c = cartan_matrix(spec)
-    neighbor_max = [
-        max([k] + [j for j in range(rank) if j != k and c[k][j] != 0])
-        for k in range(rank)
-    ]
-    ready_at: list[list[int]] = [[] for _ in range(rank)]
-    for k in range(rank):
-        ready_at[neighbor_max[k]].append(k)
+    ready_at = _ready_at(spec)
     options = [_partitions_list(nvec[k]) for k in range(rank)]
     chosen: list[Partition] = [Partition()] * rank
     total = 0
@@ -212,33 +210,35 @@ def fermionic_decomp(
     """All dominant weights with nonzero multiplicity, with their multiplicities.
 
     Candidates live in the box 0 <= n_i <= (root coordinates of the top
-    weight), which is finite because the inverse Cartan matrix has
-    nonnegative entries.
+    weight), finite as the inverse Cartan matrix is nonnegative. The scan keeps
+    the weight current (Cartan row i is subtracted each time n_i grows) and cuts
+    a branch at a negative settled coefficient, so only dominant n are summed.
     """
     factors = _coerce_factors(factors)
     rank = spec.rank
     top = factors.top_weight(rank)
     c = cartan_matrix(spec)
-    box_frac = root_coords_of_weight_vector(spec, top.coeffs)
-    box = [floor(f) for f in box_frac]
+    box = [floor(f) for f in root_coords_of_weight_vector(spec, top.coeffs)]
+    touched = [(i, *nbrs) for i, nbrs in enumerate(adjacency(spec))]
+    ready_at = _ready_at(spec)
+    weight = list(top.coeffs)
+    nvec = [0] * rank
     result: dict[DominantWeight, int] = {}
 
-    def scan(i: int, nvec: list[int]) -> None:
+    def scan(i: int) -> None:
         if i == rank:
-            coeffs = tuple(
-                top.coeffs[k] - sum(nvec[j] * c[j][k] for j in range(rank))
-                for k in range(rank)
-            )
-            if any(w < 0 for w in coeffs):
-                return
             m = _config_sum(spec, factors, tuple(nvec))
             if m:
-                result[DominantWeight(coeffs, rank)] = m
+                result[DominantWeight(tuple(weight), rank)] = m
             return
         for v in range(box[i] + 1):
-            nvec.append(v)
-            scan(i + 1, nvec)
-            nvec.pop()
+            nvec[i] = v
+            if all(weight[k] >= 0 for k in ready_at[i]):
+                scan(i + 1)
+            for k in touched[i]:
+                weight[k] -= c[i][k]
+        for k in touched[i]:
+            weight[k] += (box[i] + 1) * c[i][k]
 
-    scan(0, [])
+    scan(0)
     return result

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .partitions import DominantWeight, RootLatticeElement
-
 FAMILIES = ("A", "B", "C", "D")
 
 
@@ -110,21 +108,3 @@ def integer_root_coords(
         return None
     return tuple(int(f) for f in sol)
 
-
-def weight_of_root_element(spec: LieSpec, eta: RootLatticeElement) -> tuple[int, ...]:
-    if eta.rank != spec.rank:
-        raise ValueError(f"rank mismatch: element {eta.rank} vs spec {spec.rank}")
-    return weight_of_root_vector(spec, eta.coords)
-
-
-def zero_weight(spec: LieSpec) -> DominantWeight:
-    return DominantWeight((0,) * spec.rank, spec.rank)
-
-
-def fundamental_weight(spec: LieSpec, node: int, mult: int = 1) -> DominantWeight:
-    """mult copies of the fundamental weight at a 1-indexed node."""
-    if not 1 <= node <= spec.rank:
-        raise ValueError(f"node {node} outside 1..{spec.rank}")
-    coeffs = [0] * spec.rank
-    coeffs[node - 1] = mult
-    return DominantWeight(tuple(coeffs), spec.rank)

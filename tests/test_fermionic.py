@@ -1,3 +1,6 @@
+from itertools import product
+from math import floor
+
 import pytest
 
 from lrwkit.classical import family_decomposition, min_stable_rank
@@ -9,7 +12,7 @@ from lrwkit.fermionic import (
     fermionic_multiplicity,
     vacancy,
 )
-from lrwkit.lie import LieSpec, cartan_matrix
+from lrwkit.lie import LieSpec, cartan_matrix, root_coords_of_weight_vector
 from lrwkit.partitions import DominantWeight, Partition, weight_from_partition
 
 
@@ -192,15 +195,53 @@ class TestDecomp:
                 assert mult > 0
 
 
+def brute_force_decomp(spec, factors):
+    """Walk the whole root-coordinate box and sum every dominant candidate."""
+    rank = spec.rank
+    top = FactorList(tuple(factors)).top_weight(rank)
+    c = cartan_matrix(spec)
+    box = [floor(f) for f in root_coords_of_weight_vector(spec, top.coeffs)]
+    out = {}
+    for nvec in product(*(range(b + 1) for b in box)):
+        coeffs = [
+            top.coeffs[k] - sum(nvec[j] * c[j][k] for j in range(rank))
+            for k in range(rank)
+        ]
+        if min(coeffs) >= 0:
+            mult = fermionic_multiplicity(spec, factors, w(coeffs, rank))
+            if mult:
+                out[w(coeffs, rank)] = mult
+    return out
+
+
+@pytest.mark.parametrize(
+    "family,rank,factors",
+    [
+        ("B", 4, [(1, 1), (2, 2)]),
+        ("C", 4, [(1, 1), (1, 3), (2, 2)]),
+        ("D", 5, [(1, 4), (1, 5), (2, 1)]),
+        ("A", 4, [(2, 1), (1, 3)]),
+        ("B", 5, [(2, 2), (1, 3)]),
+        ("D", 4, [(1, 1), (1, 3), (1, 4)]),
+    ],
+)
+def test_pruned_scan_matches_full_box(family, rank, factors):
+    spec = LieSpec(family, rank)
+    assert fermionic_decomp(spec, factors) == brute_force_decomp(spec, factors)
+
+
 def rectangle_cases():
+    # every m x ell rectangle with sides <= 4 but 4 x 4 (about 17 s for B5 alone)
     cases = []
     for family, fam_tag, stable_tag in (
         ("B", "o", "o_odd"),
         ("C", "sp", "sp"),
         ("D", "o", "o_even"),
     ):
-        for m in (1, 2, 3):
-            for ell in (1, 2, 3):
+        for m in range(1, 5):
+            for ell in range(1, 5):
+                if m * ell > 12:
+                    continue
                 rank = min_stable_rank(Partition([m] * ell), stable_tag)
                 rank = max(rank, 4 if family == "D" else 2)
                 cases.append((family, rank, m, ell, fam_tag))
