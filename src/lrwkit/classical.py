@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .partitions import Partition, contains, size, subpartitions
 from .schur import (
@@ -19,6 +21,7 @@ from .schur import (
     SCHUR,
     SYMPLECTIC,
     Expansion,
+    _accumulate,
     mult,
     schur_basis,
     skew_schur_expand,
@@ -53,10 +56,8 @@ def _domino_class_sum(lam: Partition, columns: bool) -> Expansion:
     test = even_column_heights if columns else even_row_lengths
     out: dict[Partition, int] = {}
     for nu in subpartitions(lam):
-        if not test(nu):
-            continue
-        for mu, c in skew_schur_expand(lam, nu).terms.items():
-            out[mu] = out.get(mu, 0) + c
+        if test(nu):
+            _accumulate(out, skew_schur_expand(lam, nu).terms)
     return Expansion(out, SCHUR)
 
 
@@ -81,10 +82,8 @@ def _universal_in_schur(lam: Partition, basis: str) -> Expansion:
     """
     out: dict[Partition, int] = {lam: 1}
     for mu, c in branch_schur(lam, basis).terms.items():
-        if mu == lam:
-            continue
-        for p, k in _universal_in_schur(mu, basis).terms.items():
-            out[p] = out.get(p, 0) - c * k
+        if mu != lam:
+            _accumulate(out, _universal_in_schur(mu, basis).terms, -c)
     return Expansion(out, SCHUR)
 
 
@@ -94,8 +93,7 @@ def to_schur(a: Expansion) -> Expansion:
         raise ValueError(f"expected a classical-basis expansion, got {a.basis}")
     out: dict[Partition, int] = {}
     for lam, c in a.terms.items():
-        for p, k in _universal_in_schur(lam, a.basis).terms.items():
-            out[p] = out.get(p, 0) + c * k
+        _accumulate(out, _universal_in_schur(lam, a.basis).terms, c)
     return Expansion(out, SCHUR)
 
 
@@ -105,8 +103,7 @@ def _branch_expansion(a: Expansion, target: str) -> Expansion:
         raise ValueError(f"expected a Schur expansion, got {a.basis}")
     out: dict[Partition, int] = {}
     for lam, c in a.terms.items():
-        for mu, k in branch_schur(lam, target).terms.items():
-            out[mu] = out.get(mu, 0) + c * k
+        _accumulate(out, branch_schur(lam, target).terms, c)
     return Expansion(out, target)
 
 
@@ -139,15 +136,16 @@ class FamilyDecomposition:
 
     ``terms`` maps each component partition to its positive multiplicity; the
     top partition always appears with multiplicity 1 and every component fits
-    inside it.
+    inside it. It is stored as a read-only copy of the mapping passed in.
     """
 
     family: str
     top: Partition
-    terms: dict[Partition, int]
+    terms: Mapping[Partition, int]
 
     def __post_init__(self) -> None:
         _check_family(self.family)
+        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
         if self.terms.get(self.top) != 1:
             raise ValueError(f"top component {list(self.top)} must have multiplicity 1")
         for mu, m in self.terms.items():
@@ -191,7 +189,8 @@ def family_decomposition(lam: Partition, family: str) -> FamilyDecomposition:
     """
     _check_family(family)
     columns = family == ORTHOGONAL
-    return FamilyDecomposition(family, lam, dict(_domino_class_sum(lam, columns).terms))
+    # copy() hands over a plain dict: dict() of a read-only view re-hashes every key
+    return FamilyDecomposition(family, lam, _domino_class_sum(lam, columns).terms.copy())
 
 
 def tensor_product_two_ways(
@@ -209,12 +208,10 @@ def tensor_product_two_ways(
     wn = family_decomposition(nu, family)
     for kap, m1 in wm.terms.items():
         for kap2, m2 in wn.terms.items():
-            for lam, d in stable_tensor_expansion(kap, kap2, family).terms.items():
-                lhs[lam] = lhs.get(lam, 0) + m1 * m2 * d
+            _accumulate(lhs, stable_tensor_expansion(kap, kap2, family).terms, m1 * m2)
     rhs: dict[Partition, int] = {}
     for lam, c in mult(schur_basis(mu), schur_basis(nu)).terms.items():
-        for p, m in family_decomposition(lam, family).terms.items():
-            rhs[p] = rhs.get(p, 0) + c * m
+        _accumulate(rhs, family_decomposition(lam, family).terms, c)
     return Expansion(lhs, IRREDUCIBLE), Expansion(rhs, IRREDUCIBLE)
 
 

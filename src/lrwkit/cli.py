@@ -534,6 +534,8 @@ def _resolve_settings(args: argparse.Namespace) -> None:
         cap = int(os.environ["LRWKIT_MAX_BOXES"])
     else:
         cap = DEFAULT_MAX_BOXES
+    if cap < 0:
+        raise UsageError(f"max_boxes must be nonnegative, got {cap}")
     fmt = args.format or config.get("format") or "json"
     if fmt not in ("json", "tsv"):
         raise UsageError(f"format must be json or tsv: {fmt!r}")

@@ -1,17 +1,18 @@
 """Closed-form decompositions for three families of highest weights.
 
 Each closed form is an independent description of a family decomposition:
-rectangles via vertical-domino removal from columns, three-row shapes via a
+rectangles via vertical-domino removal from columns (and, for the symplectic
+family, its image under the transposing involution), three-row shapes via a
 triple of bounded subtraction counts, and the two-column-height shapes where
-multiplicities first exceed one. They are cross-checked against the general
-tableau computation.
+multiplicities first exceed one. None of them calls the general tableau
+computation, which they are cross-checked against.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .classical import SYMPLECTIC, FamilyDecomposition, family_decomposition
+from .classical import ORTHOGONAL, SYMPLECTIC, FamilyDecomposition, _check_family
 from .partitions import Partition, conjugate, contains
 
 
@@ -25,22 +26,27 @@ def closed_form_rectangle(m: int, ell: int, family: str) -> FamilyDecomposition:
 
     For the orthogonal family each of the m columns independently loses
     vertical dominoes, so the components are the diagrams whose column
-    heights form a multiset drawn from {ell, ell-2, ...}, each once. No
-    closed form is adopted for the symplectic family; that case defers to
-    the general computation (the conjugate row-domino picture is commentary,
-    not an oracle).
+    heights form a multiset drawn from {ell, ell-2, ...}, each once. The
+    symplectic family is the transpose of that picture: each of the ell rows
+    loses horizontal dominoes. Transposition swaps even rows with even
+    columns, so the symplectic decomposition of a shape is the termwise
+    conjugate of the orthogonal decomposition of its conjugate.
     """
     if m < 1 or ell < 1:
         raise ValueError(f"need m >= 1 and ell >= 1, got {m}, {ell}")
+    _check_family(family)
     top = rectangle_partition(m, ell)
-    if family != "o":
-        return family_decomposition(top, SYMPLECTIC)
+    if family == SYMPLECTIC:
+        dual = closed_form_rectangle(ell, m, ORTHOGONAL)
+        return FamilyDecomposition(
+            SYMPLECTIC, top, {conjugate(mu): k for mu, k in dual.terms.items()}
+        )
     heights = range(ell, -1, -2)
     terms: dict[Partition, int] = {}
     for combo in combinations_with_replacement(heights, m):
         mu = conjugate(Partition(sorted(combo, reverse=True)))
         terms[mu] = 1
-    return FamilyDecomposition("o", top, terms)
+    return FamilyDecomposition(ORTHOGONAL, top, terms)
 
 
 def closed_form_three_row(a: int, b: int, c: int) -> FamilyDecomposition:

@@ -8,6 +8,7 @@ routes to the same answers.
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .partitions import (
@@ -32,9 +33,8 @@ class Expansion:
     """Sparse integer combination of basis elements indexed by partitions.
 
     One value type serves every basis in the library; the tag records which
-    basis the keys refer to. Zero coefficients are never stored. Instances
-    are treated as immutable: combine them with the module functions rather
-    than editing ``terms``.
+    basis the keys refer to. Zero coefficients are never stored. ``terms``
+    is a read-only view, so a cached instance cannot be edited by a caller.
     """
 
     __slots__ = ("terms", "basis")
@@ -45,7 +45,7 @@ class Expansion:
             c = int(c)
             if c != 0:
                 cleaned[Partition(p)] = c
-        self.terms = cleaned
+        self.terms = MappingProxyType(cleaned)
         self.basis = basis
 
     def coefficient(self, p: Partition) -> int:
@@ -78,26 +78,17 @@ class Expansion:
         return body or f"0 ({self.basis})"
 
 
+def _accumulate(
+    out: dict[Partition, int], terms: Mapping[Partition, int], c: int = 1
+) -> None:
+    """In-place out += c * terms; new keys are appended in the order of terms."""
+    for p, k in terms.items():
+        out[p] = out.get(p, 0) + c * k
+
+
 def schur_basis(p: Partition | list[int] | tuple[int, ...]) -> Expansion:
     """The basis element for one partition."""
     return Expansion({Partition(p): 1}, SCHUR)
-
-
-def add(a: Expansion, b: Expansion) -> Expansion:
-    if a.basis != b.basis:
-        raise ValueError(f"basis mismatch: {a.basis} vs {b.basis}")
-    out = dict(a.terms)
-    for p, c in b.terms.items():
-        out[p] = out.get(p, 0) + c
-    return Expansion(out, a.basis)
-
-
-def scale(a: Expansion, c: int) -> Expansion:
-    return Expansion({p: c * v for p, v in a.terms.items()}, a.basis)
-
-
-def retag(a: Expansion, basis: str) -> Expansion:
-    return Expansion(a.terms, basis)
 
 
 @lru_cache(maxsize=None)
@@ -122,8 +113,7 @@ def mult(a: Expansion, b: Expansion) -> Expansion:
     out: dict[Partition, int] = {}
     for mu, cm in a.terms.items():
         for nu, cn in b.terms.items():
-            for lam, c in _mult_basis(mu, nu).terms.items():
-                out[lam] = out.get(lam, 0) + cm * cn * c
+            _accumulate(out, _mult_basis(mu, nu).terms, cm * cn)
     return Expansion(out, SCHUR)
 
 
@@ -153,8 +143,7 @@ def skew(a: Expansion, nu: Partition) -> Expansion:
         raise ValueError(f"skew needs a Schur-tagged input, got {a.basis}")
     out: dict[Partition, int] = {}
     for lam, c in a.terms.items():
-        for mu, k in skew_schur_expand(lam, nu).terms.items():
-            out[mu] = out.get(mu, 0) + c * k
+        _accumulate(out, skew_schur_expand(lam, nu).terms, c)
     return Expansion(out, SCHUR)
 
 
@@ -224,8 +213,7 @@ def h_monomial_to_schur(a: Expansion) -> Expansion:
         raise ValueError(f"expected an h-monomial expansion, got {a.basis}")
     out: dict[Partition, int] = {}
     for key, c in a.terms.items():
-        for p, k in _h_product(key).terms.items():
-            out[p] = out.get(p, 0) + c * k
+        _accumulate(out, _h_product(key).terms, c)
     return Expansion(out, SCHUR)
 
 

@@ -1,246 +1,114 @@
 """Acceptance criteria, one test per criterion, each printing a pass/fail line.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines and timings. Every comparison is exact; each criterion also carries a
-wall-clock budget that the test asserts.
+Each criterion runs the named checks of ``lrwkit.verify`` that cover it, so
+every sweep is written once. Run with ``pytest tests/test_acceptance.py -v -s``
+to see the per-criterion lines and timings. Every comparison is exact; each
+criterion also carries a wall-clock budget that the test asserts.
 """
 
 import time
-from contextlib import contextmanager
 
-from lrwkit.classical import (
-    even_column_heights,
-    even_row_lengths,
-    family_decomposition,
-    min_stable_rank,
-    stable_tensor_expansion,
-    tensor_product_two_ways,
-)
-from lrwkit.closed_forms import (
-    closed_form_heights24,
-    closed_form_three_row,
-)
-from lrwkit.fermionic import fermionic_decomp
-from lrwkit.lie import LieSpec, integer_root_coords
-from lrwkit.looproot import beta_roots, commute_check, cone_membership
-from lrwkit.partitions import (
-    Partition,
-    RootLatticeElement,
-    contains,
-    partitions_of,
-    partitions_up_to,
-    size,
-    subpartitions,
-    weight_from_partition,
-)
-from lrwkit.schur import (
-    h_monomial_to_schur,
-    jacobi_trudi,
-    mult,
-    poly_add_scaled,
-    poly_mult,
-    schur_basis,
-    schur_polynomial,
-    skew_schur_expand,
-)
-from lrwkit.tableaux import SkewShape, enumerate_lr_tableaux, lr_coefficient
+from lrwkit import verify
 
 
-@contextmanager
-def criterion(number: int, label: str, budget_seconds: float):
+def criterion(number: int, label: str, budget_seconds: float, *checks) -> None:
     start = time.perf_counter()
-    status = "FAIL"
+    results = []
     try:
-        yield
-        status = "PASS"
+        results = [check() for check in checks]
     finally:
         elapsed = time.perf_counter() - start
+        failed = [r for r in results if not r.passed]
+        status = "PASS" if len(results) == len(checks) and not failed else "FAIL"
         print(f"ACCEPTANCE {number:2d} {status}  {label}  ({elapsed:.2f}s)")
+    assert not failed, "; ".join(
+        f"{r.name}: expected {r.expected}, actual {r.actual}" for r in failed
+    )
     assert elapsed < budget_seconds, f"criterion {number} took {elapsed:.2f}s"
 
 
 def test_criterion_01_six_component_decomposition():
-    with criterion(1, "six-component decomposition", 1.0):
-        decomp = family_decomposition(Partition([3, 2, 1]), "o")
-        assert decomp.terms == {
-            Partition([3, 2, 1]): 1,
-            Partition([3, 1]): 1,
-            Partition([2, 2]): 1,
-            Partition([2, 1, 1]): 1,
-            Partition([2]): 1,
-            Partition([1, 1]): 1,
-        }
+    criterion(1, "six-component decomposition", 1.0, verify._check_six_components)
 
 
 def test_criterion_02_tableau_counts():
-    with criterion(2, "tableau counts 1/3/2 and 7", 1.0):
-        lam = Partition([3, 2, 1])
-        counts = [
-            len(enumerate_lr_tableaux(SkewShape(lam, Partition(nu))))
-            for nu in ((), (1, 1), (2, 2))
-        ]
-        assert counts == [1, 3, 2]
-        top = Partition([2, 2, 1, 1])  # columns of heights 2 and 4
-        total = sum(
-            len(enumerate_lr_tableaux(SkewShape(top, nu)))
-            for nu in subpartitions(top)
-            if even_column_heights(nu)
-        )
-        assert total == 7
+    criterion(
+        2,
+        "tableau counts 1/3/2 and 7",
+        1.0,
+        verify._check_tableau_counts,
+        verify._check_heights24_multiplicity,
+    )
 
 
 def test_criterion_03_multiplicity_two_and_heights24_closed_form():
-    with criterion(3, "multiplicity two and heights-2-4 closed form", 30.0):
-        decomp = family_decomposition(Partition([2, 2, 1, 1]), "o")
-        assert decomp.multiplicity(Partition([1, 1])) == 2
-        for a in range(4):
-            for b in range(4):
-                top = Partition([a + b, a + b, b, b])
-                assert (
-                    closed_form_heights24(a, b).terms
-                    == family_decomposition(top, "o").terms
-                ), (a, b)
+    criterion(
+        3,
+        "multiplicity two and heights-2-4 closed form",
+        30.0,
+        verify._check_heights24_multiplicity,
+        verify._check_closed_form_sweeps,
+    )
 
 
 def test_criterion_04_three_row_closed_form():
-    with criterion(4, "three-row closed form, 64 cases", 60.0):
-        for a in range(4):
-            for b in range(4):
-                for c in range(4):
-                    top = Partition([a + b + c, b + c, c])
-                    assert (
-                        closed_form_three_row(a, b, c).terms
-                        == family_decomposition(top, "o").terms
-                    ), (a, b, c)
+    criterion(4, "three-row closed form, 64 cases", 60.0, verify._check_closed_form_sweeps)
 
 
 def test_criterion_05_tensor_rule():
-    with criterion(5, "family tensor rule up to 6 boxes", 300.0):
-        for total in range(7):
-            for k in range(total + 1):
-                for mu in partitions_of(k):
-                    for nu in partitions_of(total - k):
-                        for family in ("sp", "o"):
-                            lhs, rhs = tensor_product_two_ways(mu, nu, family)
-                            assert lhs == rhs, (mu, nu, family)
+    criterion(5, "family tensor rule up to 6 boxes", 300.0, verify._check_tensor_rule)
 
 
 def test_criterion_06_stable_coefficients():
-    with criterion(6, "stable coefficients: sp=o, grading, top degree", 120.0):
-        parts = list(partitions_up_to(4))
-        for mu in parts:
-            for nu in parts:
-                via_sp = stable_tensor_expansion(mu, nu, "sp").terms
-                via_o = stable_tensor_expansion(mu, nu, "o").terms
-                assert via_sp == via_o, (mu, nu)
-                for lam, d in via_sp.items():
-                    deficit = size(mu) + size(nu) - size(lam)
-                    assert d >= 0
-                    assert deficit >= 0 and deficit % 2 == 0, (mu, nu, lam)
-                for lam, c in mult(schur_basis(mu), schur_basis(nu)).terms.items():
-                    assert via_sp.get(lam, 0) == c, (mu, nu, lam)
+    criterion(
+        6,
+        "stable coefficients: sp=o, grading, top degree",
+        120.0,
+        verify._check_stable_coefficients,
+    )
 
 
 def test_criterion_07_fermionic_rectangles():
-    with criterion(7, "fermionic formula matches rectangles", 120.0):
-        for family, fam_tag, stable_tag in (
-            ("B", "o", "o_odd"),
-            ("C", "sp", "sp"),
-            ("D", "o", "o_even"),
-        ):
-            for m in (1, 2, 3):
-                for ell in (1, 2, 3):
-                    rect = Partition([m] * ell)
-                    rank = max(
-                        min_stable_rank(rect, stable_tag),
-                        4 if family == "D" else 2,
-                    )
-                    ranks = [rank] if m * ell > 4 else [rank, rank + 1]
-                    for r in ranks:
-                        spec = LieSpec(family, r)
-                        predicted = fermionic_decomp(spec, [(m, ell)])
-                        expected = {
-                            weight_from_partition(mu, r): mult_
-                            for mu, mult_ in family_decomposition(
-                                rect, fam_tag
-                            ).terms.items()
-                        }
-                        assert predicted == expected, (family, r, m, ell)
+    # the ranks one above the stable threshold run in tests/test_fermionic.py
+    criterion(
+        7, "fermionic formula matches rectangles", 120.0, verify._check_fermionic_rectangles
+    )
 
 
 def test_criterion_08_commute_and_count_stability():
-    with criterion(8, "commutation lemma and count stability, ranks 3-8", 30.0):
-        for family in ("B", "C", "D"):
-            for rank in range(3, 9):
-                if family == "D" and rank < 4:
-                    continue
-                report = commute_check(LieSpec(family, rank))
-                assert report["ok"], report
-        for m in range(3, 9):
-            assert len(beta_roots(LieSpec("B", m)).roots) == len(
-                beta_roots(LieSpec("D", m + 1)).roots
-            )
+    criterion(
+        8,
+        "commutation lemma and count stability, ranks 3-8",
+        30.0,
+        verify._check_commute_full,
+        verify._check_beta_count_stability,
+    )
 
 
 def test_criterion_09_containment_and_trivial_component():
-    with criterion(9, "containment and trivial-component rule up to 8 boxes", 120.0):
-        for lam in partitions_up_to(8):
-            for family, in_class in (
-                ("sp", even_row_lengths(lam)),
-                ("o", even_column_heights(lam)),
-            ):
-                decomp = family_decomposition(lam, family)
-                assert decomp.multiplicity(lam) == 1
-                for mu, mult_ in decomp.terms.items():
-                    assert mult_ > 0
-                    assert contains(lam, mu), (lam, mu, family)
-                assert decomp.multiplicity(Partition()) == (1 if in_class else 0)
+    criterion(
+        9,
+        "containment and trivial-component rule up to 8 boxes",
+        120.0,
+        verify._check_containment_suite,
+    )
 
 
 def test_criterion_10_cone_bridge():
-    with criterion(10, "cone necessary condition with bounded witnesses", 60.0):
-        spec = LieSpec("D", 5)
-        for a in range(3):
-            for b in range(3):
-                for c in range(3):
-                    lam = Partition([a + b + c, b + c, c])
-                    lam_w = weight_from_partition(lam, 5).coeffs
-                    for mu in family_decomposition(lam, "o").terms:
-                        mu_w = weight_from_partition(mu, 5).coeffs
-                        diff = tuple(x - y for x, y in zip(lam_w, mu_w))
-                        coords = integer_root_coords(spec, diff)
-                        assert coords is not None, (lam, mu)
-                        sols = cone_membership(
-                            RootLatticeElement(coords, 5), spec
-                        )
-                        assert sols, (lam, mu)
-                        assert any(
-                            r1 <= b and r2 <= a and r2 + r3 <= c
-                            for r1, r2, r3 in sols
-                        ), (lam, mu, sols)
+    criterion(
+        10,
+        "cone necessary condition with bounded witnesses",
+        60.0,
+        verify._check_cone_bridge,
+    )
 
 
 def test_criterion_11_oracles():
-    with criterion(11, "monomial oracle and determinant round-trip", 120.0):
-        for total in range(7):
-            for k in range(total + 1):
-                for mu in partitions_of(k):
-                    for nu in partitions_of(total - k):
-                        nvars = max(total, 1)
-                        direct = poly_mult(
-                            schur_polynomial(mu, nvars),
-                            schur_polynomial(nu, nvars),
-                        )
-                        via_lr: dict = {}
-                        for lam in partitions_of(total):
-                            c = lr_coefficient(lam, mu, nu)
-                            if c:
-                                poly_add_scaled(
-                                    via_lr, schur_polynomial(lam, nvars), c
-                                )
-                        assert direct == via_lr, (mu, nu)
-        for lam in partitions_up_to(7):
-            for nu in subpartitions(lam):
-                assert h_monomial_to_schur(
-                    jacobi_trudi(lam, nu)
-                ) == skew_schur_expand(lam, nu), (lam, nu)
+    # the all-partitions lr_coefficient route runs in tests/test_tableaux.py
+    criterion(
+        11,
+        "monomial oracle and determinant round-trip",
+        120.0,
+        verify._check_lr_oracle,
+        verify._check_jacobi_trudi_roundtrip,
+    )

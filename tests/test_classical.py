@@ -14,6 +14,7 @@ from lrwkit.classical import (
 )
 from lrwkit.partitions import (
     Partition,
+    conjugate,
     contains,
     partitions_of,
     partitions_up_to,
@@ -57,6 +58,12 @@ class TestBranch:
 
     def test_one_box(self):
         assert branch_schur(Partition([1]), SYMPLECTIC) == exp({(1,): 1}, SYMPLECTIC)
+
+    def test_cached_terms_are_read_only(self):
+        lam = Partition([2, 1])
+        with pytest.raises(TypeError):
+            branch_schur(lam, SYMPLECTIC).terms[Partition([9])] = 5
+        assert Partition([9]) not in branch_schur(lam, SYMPLECTIC).terms
 
     def test_bad_family(self):
         with pytest.raises(ValueError):
@@ -109,6 +116,12 @@ class TestStableTensor:
     def test_unit(self):
         for lam in partitions_up_to(5):
             assert stable_tensor_coefficient(lam, Partition(), lam) == 1
+
+    def test_cached_terms_are_read_only(self):
+        one = Partition([1])
+        with pytest.raises(TypeError):
+            stable_tensor_expansion(one, one, SYMPLECTIC).terms[Partition([9])] = 5
+        assert stable_tensor_coefficient(one, one, Partition([9])) == 0
 
     def test_families_agree_and_grade(self):
         parts = list(partitions_up_to(4))
@@ -164,6 +177,26 @@ class TestFamilyDecomposition:
             FamilyDecomposition(
                 SYMPLECTIC, Partition([1]), {Partition([1]): 1, Partition([2]): 1}
             )
+
+    def test_cached_terms_are_read_only(self):
+        lam = Partition([3, 2, 1])
+        with pytest.raises(TypeError):
+            family_decomposition(lam, ORTHOGONAL).terms[Partition([9])] = 5
+        assert Partition([9]) not in family_decomposition(lam, ORTHOGONAL).terms
+
+    def test_terms_are_copied_in(self):
+        terms = {Partition([1]): 1}
+        decomp = FamilyDecomposition(SYMPLECTIC, Partition([1]), terms)
+        terms[Partition()] = 1
+        assert decomp.terms == {Partition([1]): 1}
+
+    def test_omega_duality_exhaustive(self):
+        # transposition swaps even rows and even columns, so sp(lam) = conj o(lam')
+        for lam in partitions_up_to(8):
+            dual = family_decomposition(conjugate(lam), ORTHOGONAL).terms
+            assert family_decomposition(lam, SYMPLECTIC).terms == {
+                conjugate(mu): m for mu, m in dual.items()
+            }, lam
 
     def test_trivial_component_rule_exhaustive(self):
         for lam in partitions_up_to(8):

@@ -172,6 +172,19 @@ class TestExitCodes:
         code, _, _ = run(capsys, "wdecomp", "2,2", "--family", "o")
         assert code == 0
 
+    def test_negative_cap_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        code, out, err = run(capsys, "--max-boxes", "-5", "schur", "mult", "1", "1")
+        assert (code, out) == (2, "")
+        assert "nonnegative" in err
+        # even commands that enumerate nothing refuse it
+        assert run(capsys, "--max-boxes", "-1", "part", "size", "3,2")[0] == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_boxes": -5}))
+        assert run(capsys, "--config", str(cfg), "part", "size", "3,2")[0] == 2
+        monkeypatch.setenv("LRWKIT_MAX_BOXES", "-5")
+        assert run(capsys, "part", "size", "3,2")[0] == 2
+        assert run(capsys, "--max-boxes", "0", "part", "size", "3,2")[0] == 0
+
     def test_verify_quick_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--level", "quick")
         assert code == 0

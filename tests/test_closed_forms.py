@@ -27,6 +27,8 @@ class TestRectangle:
     def test_validation(self):
         with pytest.raises(ValueError):
             closed_form_rectangle(0, 1, "o")
+        with pytest.raises(ValueError):
+            closed_form_rectangle(1, 1, "garbage")
 
     @pytest.mark.parametrize("family", ["sp", "o"])
     def test_matches_general_up_to_4(self, family):

@@ -3,7 +3,7 @@ from math import floor
 
 import pytest
 
-from lrwkit.classical import family_decomposition, min_stable_rank
+from lrwkit.classical import min_stable_rank
 from lrwkit.fermionic import (
     Configuration,
     FactorList,
@@ -13,7 +13,8 @@ from lrwkit.fermionic import (
     vacancy,
 )
 from lrwkit.lie import LieSpec, cartan_matrix, root_coords_of_weight_vector
-from lrwkit.partitions import DominantWeight, Partition, weight_from_partition
+from lrwkit.partitions import DominantWeight, Partition
+from lrwkit.verify import fermionic_rectangle_agreement
 
 
 def w(coeffs, rank):
@@ -231,7 +232,8 @@ def test_pruned_scan_matches_full_box(family, rank, factors):
 
 
 def rectangle_cases():
-    # every m x ell rectangle with sides <= 4 but 4 x 4 (about 17 s for B5 alone)
+    # every m x ell rectangle with sides <= 4 but 4 x 4 (about 17 s for B5 alone),
+    # at the minimal stable rank and, for at most four boxes, one rank above it
     cases = []
     for family, fam_tag, stable_tag in (
         ("B", "o", "o_odd"),
@@ -245,26 +247,16 @@ def rectangle_cases():
                 rank = min_stable_rank(Partition([m] * ell), stable_tag)
                 rank = max(rank, 4 if family == "D" else 2)
                 cases.append((family, rank, m, ell, fam_tag))
+                if m * ell <= 4:
+                    cases.append((family, rank + 1, m, ell, fam_tag))
     return cases
 
 
 @pytest.mark.parametrize("family,rank,m,ell,fam_tag", rectangle_cases())
 def test_rectangle_agreement(family, rank, m, ell, fam_tag):
-    spec = LieSpec(family, rank)
-    predicted = fermionic_decomp(spec, [(m, ell)])
-    expected = {
-        weight_from_partition(mu, rank): mult
-        for mu, mult in family_decomposition(Partition([m] * ell), fam_tag).terms.items()
-    }
-    assert predicted == expected
+    assert fermionic_rectangle_agreement([(family, rank, m, ell, fam_tag)]) == []
 
 
 def test_rectangle_agreement_above_stable_rank():
     # one notch above the threshold the decomposition must not change shape
-    spec = LieSpec("B", 4)
-    predicted = fermionic_decomp(spec, [(2, 2)])
-    expected = {
-        weight_from_partition(mu, 4): mult
-        for mu, mult in family_decomposition(Partition([2, 2]), "o").terms.items()
-    }
-    assert predicted == expected
+    assert fermionic_rectangle_agreement([("B", 4, 2, 2, "o")]) == []

@@ -92,6 +92,12 @@ class TestSkew:
     def test_not_contained_gives_zero(self):
         assert skew(schur_basis([2]), Partition([1, 1])).is_zero()
 
+    def test_cached_terms_are_read_only(self):
+        lam, nu = Partition([3, 2, 1]), Partition([1])
+        with pytest.raises(TypeError):
+            skew_schur_expand(lam, nu).terms[Partition([9])] = 5
+        assert skew_schur_expand(lam, nu).coefficient(Partition([9])) == 0
+
     def test_skew_expand_cases(self):
         assert skew_schur_expand(Partition([3, 2, 1]), Partition([2, 2])) == exp(
             {(2,): 1, (1, 1): 1}

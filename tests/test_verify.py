@@ -5,6 +5,11 @@ import pytest
 from lrwkit.verify import CheckResult, VerifyReport, run_verify_suite
 
 
+@pytest.fixture(scope="module")
+def full_report():
+    return run_verify_suite("full")
+
+
 class TestQuick:
     def test_all_pass(self):
         report = run_verify_suite("quick")
@@ -29,14 +34,13 @@ class TestQuick:
 
 
 class TestFull:
-    def test_all_pass(self):
-        report = run_verify_suite("full")
-        failing = [c.name for c in report.checks if not c.passed]
+    def test_all_pass(self, full_report):
+        failing = [c.name for c in full_report.checks if not c.passed]
         assert failing == []
 
-    def test_full_extends_quick(self):
+    def test_full_extends_quick(self, full_report):
         quick = {c.name for c in run_verify_suite("quick").checks}
-        full = {c.name for c in run_verify_suite("full").checks}
+        full = {c.name for c in full_report.checks}
         assert quick < full
 
     def test_json_round_trips(self):
