@@ -529,7 +529,9 @@ def _resolve_settings(args: argparse.Namespace) -> None:
     if args.max_boxes is not None:
         cap = args.max_boxes
     elif "max_boxes" in config:
-        cap = int(config["max_boxes"])
+        cap = config["max_boxes"]
+        if type(cap) is not int:  # refuses 3.9, true and "7" alike
+            raise UsageError(f"max_boxes in the config must be an integer, got {cap!r}")
     elif os.environ.get("LRWKIT_MAX_BOXES"):
         cap = int(os.environ["LRWKIT_MAX_BOXES"])
     else:

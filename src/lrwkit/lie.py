@@ -74,19 +74,26 @@ def weight_of_root_vector(spec: LieSpec, coords: tuple[int, ...]) -> tuple[int, 
 def _solve_fractions(
     matrix: list[list[Fraction]], rhs: list[Fraction]
 ) -> list[Fraction]:
-    """Solve an invertible square system exactly by Gaussian elimination."""
+    """Solve an invertible square system exactly: forward elimination, then
+    back substitution.
+
+    Only rows below each pivot are cleared, so a Cartan matrix (a path with
+    one fork or double bond) costs O(rank^2) operations, not O(rank^3).
+    """
     n = len(rhs)
     a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
     for col in range(n):
         pivot = next(r for r in range(col, n) if a[r][col] != 0)
         a[col], a[pivot] = a[pivot], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+        for r in range(col + 1, n):
+            if a[r][col] != 0:
+                factor = a[r][col] / a[col][col]
+                a[r] = [v - factor * w if w else v for v, w in zip(a[r], a[col])]
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        tail = sum(a[i][j] * x[j] for j in range(i + 1, n) if a[i][j] != 0)
+        x[i] = (a[i][n] - tail) / a[i][i]
+    return x
 
 
 def root_coords_of_weight_vector(

@@ -5,81 +5,65 @@ indices below the spin/short tail of the diagram; type C also admits the
 k = l degenerations 2e_l. Their nonnegative span bounds which irreducible
 components can appear in the loop-algebra modules, and the commutation
 lemma verified here is what makes that bound work.
+
+Every root is first written as an integer vector in the orthogonal basis
+e_1, ..., e_n of Bourbaki's realization (Lie Groups and Lie Algebras, Ch. VI,
+Plates II-IV) and then moved to simple-root coordinates by one converter,
+``_from_orthogonal``: partial sums, with the tail halved for C and D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .lie import LieSpec, adjacency, cartan_matrix, weight_of_root_vector
 from .partitions import RootLatticeElement
 
 
-def _root(spec: LieSpec, coords: list[int]) -> RootLatticeElement:
+def _from_orthogonal(spec: LieSpec, v: list[int]) -> RootLatticeElement:
+    """Simple-root coordinates of sum_i v_i e_i (Bourbaki's realization).
+
+    Coordinate k is the partial sum S_k = v_1 + ... + v_k; for C the last one
+    is halved (alpha_n = 2e_n), for D the last two are (S_{n-1} - v_n)/2 and
+    S_n/2 (alpha_{n-1}, alpha_n = e_{n-1} -+ e_n).
+    """
+    coords = list(accumulate(v))
+    if spec.family == "C":
+        coords[-1] //= 2
+    elif spec.family == "D":
+        coords[-2] = (coords[-2] - v[-1]) // 2
+        coords[-1] //= 2
     return RootLatticeElement(tuple(coords), spec.rank)
 
 
-def _segment(coords: list[int], lo: int, hi: int, value: int) -> None:
-    """Add value on 0-indexed positions lo..hi inclusive (no-op when empty)."""
-    for i in range(lo, hi + 1):
-        coords[i] += value
+def _orthogonal(n: int, *signed: int) -> list[int]:
+    """The sum of sign(i) e_|i| over signed 1-indexed indices, as a vector in Z^n."""
+    v = [0] * n
+    for i in signed:
+        v[abs(i) - 1] += 1 if i > 0 else -1
+    return v
 
 
 @lru_cache(maxsize=None)
 def positive_roots(spec: LieSpec) -> frozenset[RootLatticeElement]:
     """All positive roots in simple-root coordinates.
 
-    Built from the orthogonal-coordinate descriptions: n^2 roots for B/C and
-    n^2 - n for D.
+    Built as the orthogonal vectors e_i - e_j and e_i + e_j (i < j), plus e_i
+    for B or 2e_i for C, each passed through ``_from_orthogonal``: n^2 roots
+    for B/C and n^2 - n for D.
     """
     if spec.family not in ("B", "C", "D"):
         raise ValueError(f"positive roots implemented for B/C/D only: {spec.family}")
     n = spec.rank
-    roots: list[RootLatticeElement] = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            coords = [0] * n
-            _segment(coords, i - 1, j - 2, 1)  # e_i - e_j
-            roots.append(_root(spec, coords))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    vectors = [_orthogonal(n, i, sign * j) for i, j in pairs for sign in (1, -1)]
     if spec.family == "B":
-        for i in range(1, n + 1):  # e_i
-            coords = [0] * n
-            _segment(coords, i - 1, n - 1, 1)
-            roots.append(_root(spec, coords))
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):  # e_i + e_j
-                coords = [0] * n
-                _segment(coords, i - 1, j - 2, 1)
-                _segment(coords, j - 1, n - 1, 2)
-                roots.append(_root(spec, coords))
+        vectors += [_orthogonal(n, i) for i in range(1, n + 1)]
     elif spec.family == "C":
-        for i in range(1, n + 1):  # 2 e_i
-            coords = [0] * n
-            _segment(coords, i - 1, n - 2, 2)
-            coords[n - 1] += 1
-            roots.append(_root(spec, coords))
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):  # e_i + e_j
-                coords = [0] * n
-                _segment(coords, i - 1, j - 2, 1)
-                _segment(coords, j - 1, n - 2, 2)
-                coords[n - 1] += 1
-                roots.append(_root(spec, coords))
-    else:  # D
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):  # e_i + e_j
-                coords = [0] * n
-                if j <= n - 1:
-                    _segment(coords, i - 1, j - 2, 1)
-                    _segment(coords, j - 1, n - 3, 2)
-                    coords[n - 2] += 1
-                    coords[n - 1] += 1
-                else:
-                    _segment(coords, i - 1, n - 3, 1)
-                    coords[n - 1] += 1
-                roots.append(_root(spec, coords))
-    result = frozenset(roots)
+        vectors += [_orthogonal(n, i, i) for i in range(1, n + 1)]
+    result = frozenset(_from_orthogonal(spec, v) for v in vectors)
     expected = n * n if spec.family in ("B", "C") else n * n - n
     assert len(result) == expected, (spec, len(result), expected)
     return result
@@ -118,21 +102,7 @@ class BetaSet:
 
 def _beta_root(spec: LieSpec, k: int, l: int) -> RootLatticeElement:
     """The root e_k + e_l (k <= l; k = l only arises for type C)."""
-    n = spec.rank
-    coords = [0] * n
-    if spec.family == "B":
-        _segment(coords, k - 1, l - 2, 1)
-        _segment(coords, l - 1, n - 1, 2)
-    elif spec.family == "C":
-        _segment(coords, k - 1, l - 2, 1)
-        _segment(coords, l - 1, n - 2, 2)
-        coords[n - 1] += 1
-    else:  # D
-        _segment(coords, k - 1, l - 2, 1)
-        _segment(coords, l - 1, n - 3, 2)
-        coords[n - 2] += 1
-        coords[n - 1] += 1
-    return _root(spec, coords)
+    return _from_orthogonal(spec, _orthogonal(spec.rank, k, l))
 
 
 @lru_cache(maxsize=None)
@@ -153,9 +123,6 @@ def beta_roots(spec: LieSpec) -> BetaSet:
             labels.append((k, l))
     labels.sort()
     roots = tuple(_beta_root(spec, k, l) for k, l in labels)
-    allowed = positive_roots(spec)
-    for root in roots:
-        assert root in allowed, (spec, root)
     return BetaSet(spec, tuple(labels), roots, l_max)
 
 

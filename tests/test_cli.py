@@ -185,6 +185,14 @@ class TestExitCodes:
         assert run(capsys, "part", "size", "3,2")[0] == 2
         assert run(capsys, "--max-boxes", "0", "part", "size", "3,2")[0] == 0
 
+    @pytest.mark.parametrize("value", [3.9, True, "7", None, [1], 1e2])
+    def test_non_integer_config_cap_is_usage_error(self, capsys, tmp_path, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_boxes": value}))
+        code, out, err = run(capsys, "--config", str(cfg), "part", "size", "3,2")
+        assert (code, out) == (2, "")
+        assert "must be an integer" in err
+
     def test_verify_quick_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--level", "quick")
         assert code == 0

@@ -1,11 +1,11 @@
 import pytest
 
+from lrwkit import verify
 from lrwkit.classical import family_decomposition
 from lrwkit.closed_forms import (
     closed_form_heights24,
     closed_form_rectangle,
     closed_form_three_row,
-    rectangle_partition,
 )
 from lrwkit.partitions import Partition
 
@@ -32,11 +32,9 @@ class TestRectangle:
 
     @pytest.mark.parametrize("family", ["sp", "o"])
     def test_matches_general_up_to_4(self, family):
-        for m in range(1, 5):
-            for ell in range(1, 5):
-                got = closed_form_rectangle(m, ell, family)
-                want = family_decomposition(rectangle_partition(m, ell), family)
-                assert got.terms == want.terms, (m, ell, family)
+        # one sweep covers every m, ell <= 4 in both families
+        result = verify._check_closed_form_sweeps()
+        assert result.passed, (result.expected, result.actual)
 
 
 class TestThreeRow:
@@ -60,14 +58,8 @@ class TestThreeRow:
         assert got.terms == want.terms
 
     def test_matches_general_up_to_3(self):
-        for a in range(4):
-            for b in range(4):
-                for c in range(4):
-                    got = closed_form_three_row(a, b, c)
-                    want = family_decomposition(
-                        Partition([a + b + c, b + c, c]), "o"
-                    )
-                    assert got.terms == want.terms, (a, b, c)
+        result = verify._check_closed_form_sweeps()
+        assert result.passed, (result.expected, result.actual)
 
 
 class TestHeights24:
@@ -82,10 +74,5 @@ class TestHeights24:
         assert got.terms == want.terms
 
     def test_matches_general_up_to_3(self):
-        for a in range(4):
-            for b in range(4):
-                got = closed_form_heights24(a, b)
-                want = family_decomposition(
-                    Partition([a + b, a + b, b, b]), "o"
-                )
-                assert got.terms == want.terms, (a, b)
+        result = verify._check_closed_form_sweeps()
+        assert result.passed, (result.expected, result.actual)

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 from math import floor
 
@@ -56,6 +57,22 @@ class TestLieSpec:
             LieSpec("B", 1)
         with pytest.raises(ValueError):
             LieSpec("E", 6)
+
+    @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+    def test_root_coords_solve_back(self, family):
+        # w_k = sum_i x_i c[i][k] must give the weight back exactly
+        rng = random.Random(family)
+        for rank in range(4 if family == "D" else 2, 41):
+            spec = LieSpec(family, rank)
+            c = cartan_matrix(spec)
+            for _ in range(3):
+                weight = tuple(rng.randint(-9, 9) for _ in range(rank))
+                x = root_coords_of_weight_vector(spec, weight)
+                back = tuple(
+                    sum(x[i] * c[i][k] for i in range(rank) if c[i][k])
+                    for k in range(rank)
+                )
+                assert back == weight, (spec, weight)
 
 
 class TestFactorList:

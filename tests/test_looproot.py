@@ -1,6 +1,11 @@
 import pytest
 
-from lrwkit.lie import LieSpec, integer_root_coords, weight_of_root_vector
+from lrwkit.lie import (
+    LieSpec,
+    cartan_matrix,
+    integer_root_coords,
+    weight_of_root_vector,
+)
 from lrwkit.looproot import (
     beta_roots,
     commute_check,
@@ -15,6 +20,36 @@ def elem(coords):
     return RootLatticeElement(tuple(coords), len(coords))
 
 
+def alpha_string_roots(spec):
+    """Positive roots grown from the Cartan matrix alone, one height at a time.
+
+    A root b is raised by alpha_i when p - <b, alpha_i^vee> > 0, where p counts
+    how many of b - alpha_i, b - 2 alpha_i, ... are roots and
+    <b, alpha_i^vee> = sum_j b_j c[j][i]. Every root of height h + 1 is such a
+    raise of a root of height h, so the lower strings are always known.
+    """
+    c = cartan_matrix(spec)
+    n = spec.rank
+    layer = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+    roots = set(layer)
+    while layer:
+        raised = set()
+        for beta in layer:
+            for i in range(n):
+                p, lower = 0, list(beta)
+                lower[i] -= 1
+                while tuple(lower) in roots:
+                    p += 1
+                    lower[i] -= 1
+                if p - sum(beta[j] * c[j][i] for j in range(n)) > 0:
+                    up = list(beta)
+                    up[i] += 1
+                    raised.add(tuple(up))
+        roots |= raised
+        layer = raised
+    return roots
+
+
 class TestPositiveRoots:
     def test_b2_explicit(self):
         got = {r.coords for r in positive_roots(LieSpec("B", 2))}
@@ -26,6 +61,15 @@ class TestPositiveRoots:
             assert len(positive_roots(LieSpec("C", n))) == n * n
         for n in range(4, 9):
             assert len(positive_roots(LieSpec("D", n))) == n * n - n
+
+    @pytest.mark.parametrize(
+        "family,rank",
+        [(f, n) for f in "BCD" for n in range(4 if f == "D" else 2, 12)],
+    )
+    def test_matches_alpha_string_oracle(self, family, rank):
+        spec = LieSpec(family, rank)
+        got = {r.coords for r in positive_roots(spec)}
+        assert got == alpha_string_roots(spec)
 
     def test_unsupported_family(self):
         with pytest.raises(ValueError):
