@@ -538,7 +538,7 @@ def _resolve_settings(args: argparse.Namespace) -> None:
         cap = DEFAULT_MAX_BOXES
     if cap < 0:
         raise UsageError(f"max_boxes must be nonnegative, got {cap}")
-    fmt = args.format or config.get("format") or "json"
+    fmt = args.format or config.get("format", "json")
     if fmt not in ("json", "tsv"):
         raise UsageError(f"format must be json or tsv: {fmt!r}")
     args.resolved_max_boxes = cap

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from operator import add
 
 from .lie import LieSpec, adjacency, cartan_matrix, weight_of_root_vector
 from .partitions import RootLatticeElement
@@ -36,6 +37,16 @@ def _from_orthogonal(spec: LieSpec, v: list[int]) -> RootLatticeElement:
         coords[-2] = (coords[-2] - v[-1]) // 2
         coords[-1] //= 2
     return RootLatticeElement(tuple(coords), spec.rank)
+
+
+def _epsilon(spec: LieSpec, coords: tuple[int, ...]) -> list[int]:
+    """Orthogonal coordinates of a simple-root vector; inverts ``_from_orthogonal``."""
+    sums = list(coords)  # the partial sums S_k, once the C and D halvings are undone
+    if spec.family == "C":
+        sums[-1] *= 2
+    elif spec.family == "D":
+        sums[-2:] = [coords[-2] + coords[-1], 2 * coords[-1]]
+    return [b - a for a, b in zip([0] + sums, sums)]
 
 
 def _orthogonal(n: int, *signed: int) -> list[int]:
@@ -100,11 +111,6 @@ class BetaSet:
         }
 
 
-def _beta_root(spec: LieSpec, k: int, l: int) -> RootLatticeElement:
-    """The root e_k + e_l (k <= l; k = l only arises for type C)."""
-    return _from_orthogonal(spec, _orthogonal(spec.rank, k, l))
-
-
 @lru_cache(maxsize=None)
 def beta_roots(spec: LieSpec) -> BetaSet:
     """The distinguished roots in lexicographic label order.
@@ -116,14 +122,10 @@ def beta_roots(spec: LieSpec) -> BetaSet:
     if spec.family not in ("B", "C", "D"):
         raise ValueError(f"beta roots implemented for B/C/D only: {spec.family}")
     l_max = spec.rank - 2 if spec.family == "D" else spec.rank - 1
-    labels = []
-    for k in range(1, l_max + 1):
-        start = k if spec.family == "C" else k + 1
-        for l in range(start, l_max + 1):
-            labels.append((k, l))
-    labels.sort()
-    roots = tuple(_beta_root(spec, k, l) for k, l in labels)
-    return BetaSet(spec, tuple(labels), roots, l_max)
+    gap = 0 if spec.family == "C" else 1
+    labels = tuple((k, l) for k in range(1, l_max + 1) for l in range(k + gap, l_max + 1))
+    roots = tuple(_from_orthogonal(spec, _orthogonal(spec.rank, k, l)) for k, l in labels)
+    return BetaSet(spec, labels, roots, l_max)
 
 
 def type_a_support(eta: RootLatticeElement, spec: LieSpec) -> bool:
@@ -172,35 +174,37 @@ def cone_membership(
 ) -> list[tuple[int, ...]]:
     """All nonnegative integer combinations of the distinguished roots equal to diff.
 
-    Bounded exhaustive search; the full solution list (not just existence)
-    feeds the multiplicity-bound checks. Empty means the necessary condition
-    for a nonzero multiplicity fails.
+    The search runs on the orthogonal coordinates of diff: label (k, l) takes
+    s units from coordinates k and l (2s from k when k = l), and coordinate k
+    must be used up by its last label. The full solution list (not just
+    existence) feeds the multiplicity-bound checks, in lexicographic order.
+    Empty means the necessary condition for a nonzero multiplicity fails.
     """
     if diff.rank != spec.rank:
         raise ValueError(f"rank mismatch: element {diff.rank} vs spec {spec.rank}")
-    betas = beta_roots(spec).roots
-    n = spec.rank
+    bset = beta_roots(spec)
+    labels = bset.labels
+    eps = [0, *_epsilon(spec, diff.coords)]  # eps[k] is the coefficient of e_k
+    if any(x < 0 for x in eps) or any(eps[bset.l_max + 1 :]):
+        return []
     solutions: list[tuple[int, ...]] = []
-    coeffs: list[int] = []
 
-    def rec(idx: int, remaining: list[int]) -> None:
-        if any(x < 0 for x in remaining):
+    def rec(idx: int, coeffs: tuple[int, ...]) -> None:
+        if idx == len(labels):
+            if not any(eps):
+                solutions.append(coeffs)
             return
-        if idx == len(betas):
-            if not any(remaining):
-                solutions.append(tuple(coeffs))
-            return
-        beta = betas[idx].coords
-        bound = min(
-            (remaining[i] // beta[i] for i in range(n) if beta[i] > 0), default=0
-        )
+        k, l = labels[idx]
+        bound = eps[k] // 2 if k == l else min(eps[k], eps[l])
         for s in range(bound + 1):
-            coeffs.append(s)
-            rec(idx + 1, [remaining[i] - s * beta[i] for i in range(n)])
-            coeffs.pop()
+            eps[k] -= s
+            eps[l] -= s
+            if l < bset.l_max or not eps[k]:  # (k, l_max) is the last label using e_k
+                rec(idx + 1, coeffs + (s,))
+            eps[k] += s
+            eps[l] += s
 
-    rec(0, list(diff.coords))
-    solutions.sort()
+    rec(0, ())
     return solutions
 
 
@@ -213,36 +217,35 @@ def commute_check(spec: LieSpec) -> dict:
     the set. Returns a report whose violation lists are empty on success.
     """
     bset = beta_roots(spec)
-    betas = bset.roots
+    betas = [root.coords for root in bset.roots]
     labels = bset.labels
-    allowed = positive_roots(spec)
+    allowed = {root.coords for root in positive_roots(spec)}
+    # Subtracting alpha_i for i < n keeps the alpha_n coefficient, so a sum whose
+    # alpha_n coefficient no positive root has can only reach one via alpha_n.
+    last_coeffs = {coords[-1] for coords in allowed}
+    position = {coords: p for p, coords in enumerate(betas)}
     n = spec.rank
     pair_sum: list[dict] = []
     pair_sum_minus_simple: list[dict] = []
     lowering: list[dict] = []
-    for r in range(len(betas)):
-        for s in range(len(betas)):
-            total = tuple(a + b for a, b in zip(betas[r].coords, betas[s].coords))
-            if RootLatticeElement(total, n) in allowed:
+    for r, beta_r in enumerate(betas):
+        for s, beta_s in enumerate(betas):
+            total = tuple(map(add, beta_r, beta_s))
+            if total in allowed:
                 pair_sum.append({"r": labels[r], "s": labels[s], "sum": list(total)})
-            for i in range(n):
-                shifted = list(total)
-                shifted[i] -= 1
-                if RootLatticeElement(tuple(shifted), n) in allowed:
+            for i in range(n) if total[-1] in last_coeffs else (n - 1,):
+                shifted = total[:i] + (total[i] - 1,) + total[i + 1 :]
+                if shifted in allowed:
                     pair_sum_minus_simple.append(
-                        {"r": labels[r], "s": labels[s], "i": i + 1, "sum": shifted}
+                        {"r": labels[r], "s": labels[s], "i": i + 1, "sum": list(shifted)}
                     )
-    for r in range(len(betas)):
+    for r, beta in enumerate(betas):
         for i in range(n):
-            lowered = list(betas[r].coords)
-            lowered[i] -= 1
-            elem = RootLatticeElement(tuple(lowered), n)
-            if elem not in allowed:
-                continue
-            later = any(betas[s] == elem for s in range(r, len(betas)))
+            lowered = beta[:i] + (beta[i] - 1,) + beta[i + 1 :]
+            later = position.get(lowered, -1) >= r
             escape = labels[r][1] == bset.l_max and i + 1 == bset.l_max
-            if not (later or escape):
-                lowering.append({"r": labels[r], "i": i + 1, "lowered": lowered})
+            if lowered in allowed and not (later or escape):
+                lowering.append({"r": labels[r], "i": i + 1, "lowered": list(lowered)})
     return {
         "family": spec.family,
         "rank": spec.rank,

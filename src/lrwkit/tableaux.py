@@ -27,9 +27,6 @@ class SkewShape:
         lo = self.inner[i] if i < len(self.inner) else 0
         return lo, self.outer[i]
 
-    def cell_count(self) -> int:
-        return size(self.outer) - size(self.inner)
-
 
 @dataclass(frozen=True)
 class SkewTableau:

@@ -135,6 +135,18 @@ class TestCommands:
         code, out, _ = run(capsys, "roots", "cone", "D", "5", "--alpha", "1,1,2,1,1")
         assert json.loads(out)["solutions"] == [[0, 1, 0]]
 
+    def test_roots_known_slow_inputs(self, capsys):
+        # both ran for minutes in simple-root coordinates
+        argv = ["roots", "cone", "C", "6", "--alpha", "9,18,27,36,45,24"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert '"solutions":[]' in out
+        code, out, _ = run(capsys, "--format", "tsv", *argv)
+        assert (code, out) == (0, "(none)\n")
+        code, out, _ = run(capsys, "roots", "commute", "D", "24")
+        assert code == 0
+        assert json.loads(out)["ok"] is True
+
     def test_tsv_format(self, capsys):
         code, out, _ = run(capsys, "--format", "tsv", "wdecomp", "3,2,1", "--family", "o")
         lines = out.strip().splitlines()
@@ -192,6 +204,14 @@ class TestExitCodes:
         code, out, err = run(capsys, "--config", str(cfg), "part", "size", "3,2")
         assert (code, out) == (2, "")
         assert "must be an integer" in err
+
+    @pytest.mark.parametrize("value", [False, 0, "", [], {}, None])
+    def test_non_string_config_format_is_usage_error(self, capsys, tmp_path, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": value}))
+        code, out, err = run(capsys, "--config", str(cfg), "part", "size", "3,2")
+        assert (code, out) == (2, "")
+        assert "format must be json or tsv" in err
 
     def test_verify_quick_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--level", "quick")

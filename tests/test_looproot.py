@@ -1,11 +1,10 @@
+import random
+from dataclasses import replace
+
 import pytest
 
-from lrwkit.lie import (
-    LieSpec,
-    cartan_matrix,
-    integer_root_coords,
-    weight_of_root_vector,
-)
+from lrwkit import looproot, verify
+from lrwkit.lie import LieSpec, cartan_matrix, integer_root_coords
 from lrwkit.looproot import (
     beta_roots,
     commute_check,
@@ -18,6 +17,87 @@ from lrwkit.partitions import RootLatticeElement
 
 def elem(coords):
     return RootLatticeElement(tuple(coords), len(coords))
+
+
+def commute_oracle(spec):
+    """The commutation report by the direct search in simple-root coordinates.
+
+    Every candidate is wrapped as a root-lattice element and looked up in the
+    positive roots; a later distinguished root is found by a linear scan.
+    """
+    bset = looproot.beta_roots(spec)
+    betas = bset.roots
+    labels = bset.labels
+    allowed = looproot.positive_roots(spec)
+    n = spec.rank
+    pair_sum = []
+    pair_sum_minus_simple = []
+    lowering = []
+    for r in range(len(betas)):
+        for s in range(len(betas)):
+            total = tuple(a + b for a, b in zip(betas[r].coords, betas[s].coords))
+            if RootLatticeElement(total, n) in allowed:
+                pair_sum.append({"r": labels[r], "s": labels[s], "sum": list(total)})
+            for i in range(n):
+                shifted = list(total)
+                shifted[i] -= 1
+                if RootLatticeElement(tuple(shifted), n) in allowed:
+                    pair_sum_minus_simple.append(
+                        {"r": labels[r], "s": labels[s], "i": i + 1, "sum": shifted}
+                    )
+    for r in range(len(betas)):
+        for i in range(n):
+            lowered = list(betas[r].coords)
+            lowered[i] -= 1
+            elem = RootLatticeElement(tuple(lowered), n)
+            if elem not in allowed:
+                continue
+            later = any(betas[s] == elem for s in range(r, len(betas)))
+            escape = labels[r][1] == bset.l_max and i + 1 == bset.l_max
+            if not (later or escape):
+                lowering.append({"r": labels[r], "i": i + 1, "lowered": lowered})
+    return {
+        "family": spec.family,
+        "rank": spec.rank,
+        "l_max": bset.l_max,
+        "beta_count": len(betas),
+        "pair_sum_violations": pair_sum,
+        "pair_sum_minus_simple_violations": pair_sum_minus_simple,
+        "lowering_violations": lowering,
+        "ok": not (pair_sum or pair_sum_minus_simple or lowering),
+    }
+
+
+def cone_oracle(diff, spec):
+    """Cone solutions by bounded search in simple-root coordinates.
+
+    Each distinguished root in turn takes every multiplicity that leaves no
+    coordinate negative; a branch is cut only when a remainder goes negative.
+    """
+    betas = beta_roots(spec).roots
+    n = spec.rank
+    solutions = []
+    coeffs = []
+
+    def rec(idx, remaining):
+        if any(x < 0 for x in remaining):
+            return
+        if idx == len(betas):
+            if not any(remaining):
+                solutions.append(tuple(coeffs))
+            return
+        beta = betas[idx].coords
+        bound = min(
+            (remaining[i] // beta[i] for i in range(n) if beta[i] > 0), default=0
+        )
+        for s in range(bound + 1):
+            coeffs.append(s)
+            rec(idx + 1, [remaining[i] - s * beta[i] for i in range(n)])
+            coeffs.pop()
+
+    rec(0, list(diff.coords))
+    solutions.sort()
+    return solutions
 
 
 def alpha_string_roots(spec):
@@ -92,10 +172,8 @@ class TestBetaRoots:
         assert len(beta_roots(LieSpec("D", 5)).roots) == 3
 
     def test_count_stability(self):
-        for m in range(3, 9):
-            assert len(beta_roots(LieSpec("B", m)).roots) == len(
-                beta_roots(LieSpec("D", m + 1)).roots
-            )
+        result = verify._check_beta_count_stability()
+        assert result.passed, (result.expected, result.actual)
 
     def test_membership_in_positive_roots(self):
         for family in ("B", "C", "D"):
@@ -108,17 +186,8 @@ class TestBetaRoots:
                     assert root in allowed
 
     def test_d5_weight_coordinates(self):
-        spec = LieSpec("D", 5)
-        bset = beta_roots(spec)
-        weights = {
-            label: weight_of_root_vector(spec, root.coords)
-            for label, root in zip(bset.labels, bset.roots)
-        }
-        assert weights == {
-            (1, 2): (0, 1, 0, 0, 0),
-            (1, 3): (1, -1, 1, 0, 0),
-            (2, 3): (-1, 0, 1, 0, 0),
-        }
+        result = verify._check_beta_weights_d5()
+        assert result.passed, (result.expected, result.actual)
 
     def test_label_order_lexicographic(self):
         labels = beta_roots(LieSpec("C", 5)).labels
@@ -200,15 +269,84 @@ class TestConeMembership:
         assert ((1, 2), (3, 4)) in decompositions
         assert ((1, 3), (2, 4)) in decompositions
 
+    def test_matches_simple_root_search(self):
+        rng = random.Random(20261018)
+        nonempty = 0
+        for _ in range(400):
+            family = rng.choice("BCD")
+            spec = LieSpec(family, rng.randint(4 if family == "D" else 2, 6))
+            betas = beta_roots(spec).roots
+            coords = [0] * spec.rank
+            for _ in range(rng.randint(0, 4) if betas else 0):
+                coords = [a + b for a, b in zip(coords, rng.choice(betas).coords)]
+            if rng.random() < 0.4:
+                coords[rng.randrange(spec.rank)] += rng.choice((-1, 1))
+            diff = elem(coords)
+            got = cone_membership(diff, spec)
+            assert got == cone_oracle(diff, spec), (spec, coords)
+            nonempty += bool(got)
+        assert nonempty >= 100
+
+    def test_orthogonal_tail_outside_cone(self):
+        # e = (9, 9, 9, 9, 9, 3): the last coordinate lies beyond l_max = 5
+        spec = LieSpec("C", 6)
+        assert cone_membership(elem((9, 18, 27, 36, 45, 24)), spec) == []
+
 
 class TestCommute:
     @pytest.mark.parametrize("family", ["B", "C", "D"])
-    @pytest.mark.parametrize("rank", list(range(3, 9)))
+    @pytest.mark.parametrize("rank", list(range(3, 13)))
     def test_zero_violations(self, family, rank):
         if family == "D" and rank < 4:
             pytest.skip("D starts at rank 4")
-        report = commute_check(LieSpec(family, rank))
+        spec = LieSpec(family, rank)
+        report = commute_check(spec)
         assert report["ok"], report
+        assert report == commute_oracle(spec)
+
+    @pytest.mark.parametrize("family", ["B", "C", "D"])
+    @pytest.mark.parametrize(
+        "kinds", ["sum+minus-first", "sum+minus-last", "minus-first", "minus-last", "lowered"]
+    )
+    def test_violations_match_oracle(self, monkeypatch, family, kinds):
+        # Extra "roots" that no root system has make the matching violation
+        # list non-empty; the alpha_n-only filter must report what the full
+        # scan reports.
+        spec = LieSpec(family, 6)
+        betas = [root.coords for root in beta_roots(spec).roots]
+        n = spec.rank
+
+        def pair_sum(r, s, minus=None):
+            total = [a + b for a, b in zip(betas[r], betas[s])]
+            if minus is not None:
+                total[minus] -= 1
+            return tuple(total)
+
+        candidates = {
+            "sum": (pair_sum(0, 1), "pair_sum_violations"),
+            "minus-first": (pair_sum(1, 2, minus=0), "pair_sum_minus_simple_violations"),
+            "minus-last": (pair_sum(1, 2, minus=n - 1), "pair_sum_minus_simple_violations"),
+            "lowered": (betas[0][:-1] + (betas[0][-1] - 1,), "lowering_violations"),
+        }
+        extra = [candidates[kind] for kind in kinds.split("+")]
+        roots = positive_roots(spec) | {elem(coords) for coords, _ in extra}
+        monkeypatch.setattr(looproot, "positive_roots", lambda _spec: roots)
+        report = commute_check(spec)
+        assert report == commute_oracle(spec)
+        for _, violations in extra:
+            assert report[violations], violations
+
+    @pytest.mark.parametrize("family", ["B", "C", "D"])
+    def test_lowering_to_an_earlier_root(self, monkeypatch, family):
+        # With the order reversed, every lowering that lands on a distinguished
+        # root lands on an earlier one, which the check must report.
+        spec = LieSpec(family, 6)
+        bset = beta_roots(spec)
+        reversed_set = replace(bset, labels=bset.labels[::-1], roots=bset.roots[::-1])
+        monkeypatch.setattr(looproot, "beta_roots", lambda _spec: reversed_set)
+        report = commute_check(spec)
+        assert report == commute_oracle(spec)
+        assert report["lowering_violations"]
 
     def test_report_fields(self):
         report = commute_check(LieSpec("C", 4))
