@@ -6,10 +6,21 @@ is a product of binomials in the vacancy numbers. A binomial with a negative
 vacancy number vanishes even on rows of size zero, so any configuration with
 a negative vacancy number anywhere contributes nothing.
 
+The vacancy number at node k and row size n is a sum over the factors on k,
+the parts of nu_k and the parts of each neighbour nu_j, each term a
+min(a*n, b*h) with (a, b) read off the Cartan matrix. Two cached tables make
+it a few reads: ``_min_sums(nu)`` holds s[t] = sum_h min(t, h) for every t up
+to the longest row (|nu| beyond it), and ``_couplings(spec)`` lists each
+node's neighbours with their (a, b). A coupling reads s[n] for (1, 1), s[2n]
+for (2, 1), and s[floor(n/2)] + s[ceil(n/2)] for (1, 2), since
+min(n, 2h) = min(floor(n/2), h) + min(ceil(n/2), h).
+
 Both searches fix nodes in index order. The weight coefficient and the node
 factor at node k depend only on k and its Dynkin neighbours, so each settles
 when the last of them is fixed (``_ready_at``), and a branch is cut there on a
 negative coefficient (decomposition scan) or a zero factor (configuration sum).
+The node factor scans row sizes only up to the longest row of nu_k; past it
+the vacancy number cannot fall (see ``_node_factor``).
 """
 
 from __future__ import annotations
@@ -106,6 +117,28 @@ def alpha_coords(
     return tuple(int(f) for f in sol)
 
 
+@lru_cache(maxsize=None)
+def _couplings(spec: LieSpec) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Per node k, one (j, a, b) per neighbour j, with a = -c[k][j] and b = -c[j][k]."""
+    c = cartan_matrix(spec)
+    return tuple(
+        tuple((j, -c[k][j], -c[j][k]) for j in nbrs)
+        for k, nbrs in enumerate(adjacency(spec))
+    )
+
+
+@lru_cache(maxsize=None)
+def _min_sums(nu: Partition) -> tuple[int, ...]:
+    """s[t] = sum over parts h of min(t, h), for t = 0..nu[0]; it stays |nu| beyond."""
+    sums = [0]
+    rows = len(nu)
+    for t in range(1, (nu[0] if nu else 0) + 1):
+        while nu[rows - 1] < t:
+            rows -= 1
+        sums.append(sums[-1] + rows)  # rows = number of parts >= t
+    return tuple(sums)
+
+
 def vacancy(
     spec: LieSpec,
     factors: FactorList | Iterable[tuple[int, int]],
@@ -119,13 +152,21 @@ def vacancy(
         raise ValueError(f"node {node} outside 1..{spec.rank}")
     if n < 1:
         raise ValueError(f"row size must be positive: {n}")
-    c = cartan_matrix(spec)
+    if len(config.nus) != spec.rank:
+        raise ValueError(
+            f"configuration has {len(config.nus)} partitions, spec rank is {spec.rank}"
+        )
     k = node - 1
+    own = _min_sums(config.nus[k])
     total = sum(min(n, m) for m, l in factors.factors if l == node)
-    total -= 2 * sum(min(n, h) for h in config.nus[k])
-    for j in adjacency(spec)[k]:
-        a, b = -c[k][j], -c[j][k]
-        total += sum(min(a * n, b * h) for h in config.nus[j])
+    total -= 2 * own[min(n, len(own) - 1)]
+    for j, a, b in _couplings(spec)[k]:
+        s = _min_sums(config.nus[j])
+        top = len(s) - 1
+        if b == 2:  # sum min(n, 2h)
+            total += s[min(n // 2, top)] + s[min((n + 1) // 2, top)]
+        else:  # sum min(a*n, h), a = 1 or 2
+            total += s[min(a * n, top)]
     return total
 
 
@@ -137,22 +178,23 @@ def _node_factor(
 ) -> int:
     """Binomial product at node k, or 0 if any vacancy number is negative.
 
-    Vacancy numbers are scanned up to the point where every min() saturates;
-    beyond that they are constant, so the scan decides the sign everywhere.
+    The only negative term of the vacancy number p(n) at node k is
+    -2 sum_{h in nu_k} min(n, h). If nu_k is empty, p(n) >= 0 for every n and
+    every binomial is over zero rows, so the factor is 1. Otherwise the scan
+    stops at the longest row nu_k[0]: beyond it that term is the constant
+    -2|nu_k| and every other term is non-decreasing in n, so p(n) >= p(nu_k[0])
+    and the sign is already decided; every row size with a binomial lies in
+    the scanned range too.
     """
     nu = config_nus[k]
-    scan_to = max((m for m, l in factors.factors if l == k + 1), default=1)
-    if nu:
-        scan_to = max(scan_to, nu[0])
-    for j in adjacency(spec)[k]:
-        if config_nus[j]:
-            scan_to = max(scan_to, 2 * config_nus[j][0])
+    if not nu:
+        return 1
     row_counts: dict[int, int] = {}
     for h in nu:
         row_counts[h] = row_counts.get(h, 0) + 1
     config = Configuration(tuple(config_nus))
     result = 1
-    for n in range(1, scan_to + 1):
+    for n in range(1, nu[0] + 1):
         p = vacancy(spec, factors, config, k + 1, n)
         if p < 0:
             return 0

@@ -176,8 +176,10 @@ def cone_membership(
 
     The search runs on the orthogonal coordinates of diff: label (k, l) takes
     s units from coordinates k and l (2s from k when k = l), and coordinate k
-    must be used up by its last label. The full solution list (not just
-    existence) feeds the multiplicity-bound checks, in lexicographic order.
+    must be used up by its last label. The labels are walked with an explicit
+    stack, so the depth does not grow with the label count. The full solution
+    list (not just existence) feeds the multiplicity-bound checks, in
+    lexicographic order.
     Empty means the necessary condition for a nonzero multiplicity fails.
     """
     if diff.rank != spec.rank:
@@ -187,24 +189,33 @@ def cone_membership(
     eps = [0, *_epsilon(spec, diff.coords)]  # eps[k] is the coefficient of e_k
     if any(x < 0 for x in eps) or any(eps[bset.l_max + 1 :]):
         return []
+    if not labels:
+        return [] if any(eps) else [()]
     solutions: list[tuple[int, ...]] = []
-
-    def rec(idx: int, coeffs: tuple[int, ...]) -> None:
-        if idx == len(labels):
-            if not any(eps):
-                solutions.append(coeffs)
-            return
+    coeffs = [0] * len(labels)
+    last = len(labels) - 1
+    idx, advance = 0, False
+    while idx >= 0:  # depth-first over labels, amounts ascending: lexicographic
         k, l = labels[idx]
-        bound = eps[k] // 2 if k == l else min(eps[k], eps[l])
-        for s in range(bound + 1):
-            eps[k] -= s
-            eps[l] -= s
-            if l < bset.l_max or not eps[k]:  # (k, l_max) is the last label using e_k
-                rec(idx + 1, coeffs + (s,))
-            eps[k] += s
-            eps[l] += s
-
-    rec(0, ())
+        if advance:  # take one more unit at this label, or give all back and go up
+            if eps[l] and eps[k] > (k == l):
+                eps[k] -= 1
+                eps[l] -= 1
+                coeffs[idx] += 1
+            else:
+                eps[k] += coeffs[idx]
+                eps[l] += coeffs[idx]
+                coeffs[idx] = 0
+                idx -= 1
+                continue
+        if l == bset.l_max and eps[k]:  # (k, l_max) is the last label using e_k
+            advance = True
+        elif idx < last:
+            idx, advance = idx + 1, False
+        else:
+            if not any(eps):
+                solutions.append(tuple(coeffs))
+            advance = True
     return solutions
 
 

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from lrwkit.cli import main, parse_partition, parse_weight
+from lrwkit.lie import LieSpec
+from lrwkit.looproot import beta_roots
 from lrwkit.partitions import DominantWeight, Partition
 
 
@@ -146,6 +148,17 @@ class TestCommands:
         code, out, _ = run(capsys, "roots", "commute", "D", "24")
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+    @pytest.mark.parametrize("family,rank", [("C", 46), ("B", 47), ("D", 48)])
+    def test_roots_cone_more_labels_than_recursion_limit(self, capsys, family, rank):
+        # over 1,000 labels; a search recursing once per label overflowed the stack
+        code, out, _ = run(
+            capsys, "roots", "cone", family, str(rank), "--alpha", ",".join(["0"] * rank)
+        )
+        assert code == 0
+        labels = len(beta_roots(LieSpec(family, rank)).labels)
+        assert labels > 1000
+        assert json.loads(out)["solutions"] == [[0] * labels]
 
     def test_tsv_format(self, capsys):
         code, out, _ = run(capsys, "--format", "tsv", "wdecomp", "3,2,1", "--family", "o")

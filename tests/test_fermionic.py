@@ -1,6 +1,6 @@
 import random
 from itertools import product
-from math import floor
+from math import comb, floor
 
 import pytest
 
@@ -8,6 +8,7 @@ from lrwkit.classical import min_stable_rank
 from lrwkit.fermionic import (
     Configuration,
     FactorList,
+    _node_factor,
     alpha_coords,
     fermionic_decomp,
     fermionic_multiplicity,
@@ -137,6 +138,92 @@ class TestVacancy:
         cfg = Configuration((Partition([1]), Partition([2]), Partition([2])))
         assert vacancy(spec, [(1, 2)], cfg, 1, 1) == -1
 
+    def test_rank_mismatch(self):
+        # one partition per node: an extra one is refused, a missing one is no IndexError
+        spec = LieSpec("B", 3)
+        with pytest.raises(ValueError):
+            vacancy(spec, [(1, 2)], Configuration(([1], [1], [1], [5])), 1, 1)
+        with pytest.raises(ValueError):
+            vacancy(spec, [(1, 2)], Configuration(([1],)), 1, 1)
+
+    def test_tables_match_literal_sums(self):
+        rng = random.Random(20261018)
+        couplings = set()
+        for _ in range(300):
+            spec, factors, nus = random_configuration(rng)
+            c = cartan_matrix(spec)
+            cfg = Configuration(tuple(nus))
+            for node in range(1, spec.rank + 1):
+                for n in range(1, 12):
+                    got = vacancy(spec, factors, cfg, node, n)
+                    assert got == literal_vacancy(spec, factors, nus, node, n), (
+                        spec, factors, nus, node, n
+                    )
+                    for j in range(spec.rank):
+                        if j != node - 1 and c[node - 1][j] and nus[j] and n % 2:
+                            couplings.add((-c[node - 1][j], -c[j][node - 1]))
+        assert couplings == {(1, 1), (1, 2), (2, 1)}
+
+
+def random_partition(rng, size_max, part_max):
+    parts = [rng.randint(1, part_max) for _ in range(rng.randint(0, size_max))]
+    return Partition(sorted(parts, reverse=True))
+
+
+def random_configuration(rng):
+    family = rng.choice("ABCD")
+    spec = LieSpec(family, rng.randint(4 if family == "D" else 2, 5))
+    factors = [
+        (rng.randint(1, 4), rng.randint(1, spec.rank)) for _ in range(rng.randint(1, 3))
+    ]
+    nus = [random_partition(rng, 4, 5) for _ in range(spec.rank)]
+    return spec, factors, nus
+
+
+def literal_vacancy(spec, factors, nus, node, n):
+    # the defining sum of min() terms, over the whole Cartan row
+    c = cartan_matrix(spec)
+    k = node - 1
+    total = sum(min(n, m) for m, l in factors if l == node)
+    total -= 2 * sum(min(n, h) for h in nus[k])
+    for j in range(spec.rank):
+        if j != k and c[k][j]:
+            total += sum(min(-c[k][j] * n, -c[j][k] * h) for h in nus[j])
+    return total
+
+
+def full_range_node_factor(spec, factors, nus, k):
+    # scan until every min() saturates: own factors, own rows, twice a neighbour's rows
+    c = cartan_matrix(spec)
+    scan_to = max(
+        [1, *(m for m, l in factors if l == k + 1), *nus[k][:1]]
+        + [2 * nus[j][0] for j in range(spec.rank) if j != k and c[k][j] and nus[j]]
+    )
+    result = 1
+    for n in range(1, scan_to + 1):
+        p = literal_vacancy(spec, factors, nus, k + 1, n)
+        if p < 0:
+            return 0
+        rows = nus[k].count(n)
+        result *= comb(p + rows, rows)
+    return result
+
+
+def test_node_factor_matches_full_range_scan():
+    rng = random.Random(7)
+    seen = {"empty": 0, "zero": 0, "above_one": 0}
+    for _ in range(400):
+        spec, factors, nus = random_configuration(rng)
+        k = rng.randrange(spec.rank)
+        if rng.random() < 0.2:
+            nus[k] = Partition()
+        got = _node_factor(spec, FactorList(tuple(factors)), nus, k)
+        assert got == full_range_node_factor(spec, factors, nus, k), (spec, factors, nus, k)
+        seen["empty"] += not nus[k]
+        seen["zero"] += got == 0
+        seen["above_one"] += got > 1
+    assert min(seen.values()) >= 20, seen
+
 
 class TestMultiplicity:
     def test_top_weight_always_one(self):
@@ -249,7 +336,7 @@ def test_pruned_scan_matches_full_box(family, rank, factors):
 
 
 def rectangle_cases():
-    # every m x ell rectangle with sides <= 4 but 4 x 4 (about 17 s for B5 alone),
+    # every m x ell rectangle with sides <= 4 but 4 x 4 (about 7 s for B5 alone),
     # at the minimal stable rank and, for at most four boxes, one rank above it
     cases = []
     for family, fam_tag, stable_tag in (
