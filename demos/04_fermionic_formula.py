@@ -4,7 +4,6 @@ Run with: python3 demos/04_fermionic_formula.py
 """
 
 from lrwkit import (
-    Configuration,
     DominantWeight,
     LieSpec,
     Partition,
@@ -25,7 +24,7 @@ print("root coordinates of the zero weight:", alpha_coords(spec, factors, zero))
 
 # A configuration is one partition per node; the vacancy numbers control
 # binomial factors, and any negative vacancy number kills the contribution.
-cfg = Configuration((Partition([1]), Partition([1, 1]), Partition([2])))
+cfg = (Partition([1]), Partition([1, 1]), Partition([2]))
 for node in (1, 2, 3):
     values = [vacancy(spec, factors, cfg, node, n) for n in (1, 2)]
     print(f"vacancy numbers at node {node} for row sizes 1, 2: {values}")

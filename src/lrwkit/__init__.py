@@ -39,7 +39,6 @@ from .closed_forms import (
     rectangle_partition,
 )
 from .fermionic import (
-    Configuration,
     FactorList,
     alpha_coords,
     fermionic_decomp,
@@ -99,7 +98,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BetaSet",
-    "Configuration",
     "DominantWeight",
     "Expansion",
     "FactorList",

@@ -330,7 +330,7 @@ def _cmd_roots(args: argparse.Namespace) -> int:
                 raise UsageError(
                     f"expected {spec.rank} coordinates, got {len(coords)}"
                 )
-        elif args.weight is not None:
+        else:
             wvec = parse_int_vector(args.weight)
             if len(wvec) != spec.rank:
                 raise UsageError(f"expected {spec.rank} coefficients, got {len(wvec)}")
@@ -345,8 +345,6 @@ def _cmd_roots(args: argparse.Namespace) -> int:
                 }
                 _emit(args, payload, [["solutions", 0]])
                 return 0
-        else:
-            raise UsageError("cone needs --alpha or --weight")
         diff = RootLatticeElement(coords, spec.rank)
         sols = looproot.cone_membership(diff, spec)
         payload = {
@@ -383,9 +381,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             )
         )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json())
+                fh.write("\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write report {args.out!r}: {exc}") from exc
     return 0 if report.ok else 1
 
 
@@ -493,8 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = roots_sub.add_parser("cone")
     sp.add_argument("family", choices=("B", "C", "D", "b", "c", "d"))
     sp.add_argument("rank", type=int)
-    sp.add_argument("--alpha", default=None, help="difference in root coordinates")
-    sp.add_argument("--weight", default=None, help="difference in weight coordinates")
+    target = sp.add_mutually_exclusive_group(required=True)
+    target.add_argument("--alpha", default=None, help="difference in root coordinates")
+    target.add_argument("--weight", default=None, help="difference in weight coordinates")
     roots.set_defaults(handler=_cmd_roots)
 
     ver = sub.add_parser("verify", help="run the cross-check suite")

@@ -65,17 +65,6 @@ class FactorList:
         return DominantWeight(tuple(coeffs), rank)
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """One partition per Dynkin node; only values not yet partitions are validated."""
-
-    nus: tuple[Partition, ...]
-
-    def __post_init__(self) -> None:
-        nus = tuple(p if isinstance(p, Partition) else Partition(p) for p in self.nus)
-        object.__setattr__(self, "nus", nus)
-
-
 def _coerce_factors(factors: FactorList | Iterable[tuple[int, int]]) -> FactorList:
     if isinstance(factors, FactorList):
         return factors
@@ -128,8 +117,13 @@ def _couplings(spec: LieSpec) -> tuple[tuple[tuple[int, int, int], ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _min_sums(nu: Partition) -> tuple[int, ...]:
-    """s[t] = sum over parts h of min(t, h), for t = 0..nu[0]; it stays |nu| beyond."""
+def _min_sums(nu: Partition | tuple[int, ...]) -> tuple[int, ...]:
+    """s[t] = sum over parts h of min(t, h), for t = 0..nu[0]; it stays |nu| beyond.
+
+    The argument is validated here, on a cache miss, so each distinct
+    partition is checked once however often its table is read.
+    """
+    nu = Partition(nu)
     sums = [0]
     rows = len(nu)
     for t in range(1, (nu[0] if nu else 0) + 1):
@@ -142,26 +136,29 @@ def _min_sums(nu: Partition) -> tuple[int, ...]:
 def vacancy(
     spec: LieSpec,
     factors: FactorList | Iterable[tuple[int, int]],
-    config: Configuration,
+    nus: Sequence[Partition | tuple[int, ...]],
     node: int,
     n: int,
 ) -> int:
-    """The vacancy number controlling the binomial at (node, row size n)."""
+    """The vacancy number controlling the binomial at (node, row size n).
+
+    nus holds one partition per node, each a Partition or a tuple of parts.
+    """
     factors = _coerce_factors(factors)
     if not 1 <= node <= spec.rank:
         raise ValueError(f"node {node} outside 1..{spec.rank}")
     if n < 1:
         raise ValueError(f"row size must be positive: {n}")
-    if len(config.nus) != spec.rank:
+    if len(nus) != spec.rank:
         raise ValueError(
-            f"configuration has {len(config.nus)} partitions, spec rank is {spec.rank}"
+            f"configuration has {len(nus)} partitions, spec rank is {spec.rank}"
         )
     k = node - 1
-    own = _min_sums(config.nus[k])
+    own = _min_sums(nus[k])
     total = sum(min(n, m) for m, l in factors.factors if l == node)
     total -= 2 * own[min(n, len(own) - 1)]
     for j, a, b in _couplings(spec)[k]:
-        s = _min_sums(config.nus[j])
+        s = _min_sums(nus[j])
         top = len(s) - 1
         if b == 2:  # sum min(n, 2h)
             total += s[min(n // 2, top)] + s[min((n + 1) // 2, top)]
@@ -192,10 +189,9 @@ def _node_factor(
     row_counts: dict[int, int] = {}
     for h in nu:
         row_counts[h] = row_counts.get(h, 0) + 1
-    config = Configuration(tuple(config_nus))
     result = 1
     for n in range(1, nu[0] + 1):
-        p = vacancy(spec, factors, config, k + 1, n)
+        p = vacancy(spec, factors, config_nus, k + 1, n)
         if p < 0:
             return 0
         m = row_counts.get(n, 0)

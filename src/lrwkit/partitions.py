@@ -14,12 +14,15 @@ class Partition(tuple):
     """Weakly decreasing tuple of positive integers; the empty tuple is allowed.
 
     Trailing zeros are stripped on construction, so two descriptions of the
-    same Young diagram compare equal and hash identically.
+    same Young diagram compare equal and hash identically. A Partition is
+    immutable and was validated when built, so passing one returns it as is.
     """
 
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
+        if type(parts) is Partition:
+            return parts
         cleaned = [int(p) for p in parts]
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()

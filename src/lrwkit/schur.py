@@ -98,8 +98,6 @@ def _mult_basis(mu: Partition, nu: Partition) -> Expansion:
     out: dict[Partition, int] = {}
     for lam in partitions_of(n, max_part=(mu[0] if mu else 0) + (nu[0] if nu else 0),
                              max_rows=len(mu) + len(nu)):
-        if not contains(lam, mu):
-            continue
         c = lr_coefficient(lam, mu, nu)
         if c:
             out[lam] = c

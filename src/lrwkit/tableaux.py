@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .partitions import Partition, contains, size
@@ -158,7 +157,6 @@ def enumerate_lr_tableaux(shape: SkewShape) -> list[SkewTableau]:
     return [SkewTableau(shape, rows) for rows in _ballot_fillings(shape, None)]
 
 
-@lru_cache(maxsize=None)
 def _lr_count(lam: Partition, mu: Partition, nu: Partition) -> int:
     return len(_ballot_fillings(SkewShape(lam, mu), nu))
 

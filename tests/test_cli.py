@@ -137,6 +137,17 @@ class TestCommands:
         code, out, _ = run(capsys, "roots", "cone", "D", "5", "--alpha", "1,1,2,1,1")
         assert json.loads(out)["solutions"] == [[0, 1, 0]]
 
+    @pytest.mark.parametrize(
+        "options",
+        [["--alpha", "1,1,2,1,1", "--weight", "1,0,0,0,0"], []],
+        ids=["both", "neither"],
+    )
+    def test_roots_cone_needs_exactly_one_target(self, capsys, options):
+        with pytest.raises(SystemExit) as err:
+            main(["roots", "cone", "D", "5", *options])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_roots_known_slow_inputs(self, capsys):
         # both ran for minutes in simple-root coordinates
         argv = ["roots", "cone", "C", "6", "--alpha", "9,18,27,36,45,24"]
@@ -292,3 +303,11 @@ class TestDeterminism:
         assert report["summary"]["failed"] == 0
         code, _, _ = run(capsys, "verify", "--level", "quick", "--out", str(out_path))
         assert json.loads(out_path.read_text()) == report
+
+    def test_unwritable_report_file_is_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, "verify", "--level", "quick", "--out", str(out_path))
+        assert code == 2
+        assert json.loads(out.strip().splitlines()[-1])["summary"]["failed"] == 0
+        assert err.startswith("lrwkit: cannot write report")
+        assert not out_path.parent.exists()

@@ -6,7 +6,6 @@ import pytest
 
 from lrwkit.classical import min_stable_rank
 from lrwkit.fermionic import (
-    Configuration,
     FactorList,
     _node_factor,
     alpha_coords,
@@ -116,35 +115,52 @@ class TestAlphaCoords:
 class TestVacancy:
     def test_empty_config_at_factor_node(self):
         spec = LieSpec("B", 3)
-        cfg = Configuration((Partition(), Partition(), Partition()))
+        cfg = (Partition(), Partition(), Partition())
         for n in (1, 2, 3):
             assert vacancy(spec, [(3, 2)], cfg, 2, n) == min(n, 3)
 
     def test_empty_config_off_node(self):
         spec = LieSpec("B", 3)
-        cfg = Configuration((Partition(), Partition(), Partition()))
+        cfg = (Partition(), Partition(), Partition())
         assert vacancy(spec, [(3, 2)], cfg, 1, 2) == 0
 
     def test_three_sums_by_hand(self):
         # factor (1,2) on B3 at the zero-weight configuration (1),(2),(2)
         spec = LieSpec("B", 3)
-        cfg = Configuration((Partition([1]), Partition([1, 1]), Partition([2])))
+        cfg = (Partition([1]), Partition([1, 1]), Partition([2]))
         assert vacancy(spec, [(1, 2)], cfg, 1, 1) == 0 - 2 * 1 + 2
         assert vacancy(spec, [(1, 2)], cfg, 2, 1) == 1 - 4 + 1 + 2
         assert vacancy(spec, [(1, 2)], cfg, 3, 1) == 0 - 2 + 2
 
     def test_negative_vacancy_detected(self):
         spec = LieSpec("B", 3)
-        cfg = Configuration((Partition([1]), Partition([2]), Partition([2])))
+        cfg = (Partition([1]), Partition([2]), Partition([2]))
         assert vacancy(spec, [(1, 2)], cfg, 1, 1) == -1
 
     def test_rank_mismatch(self):
         # one partition per node: an extra one is refused, a missing one is no IndexError
         spec = LieSpec("B", 3)
         with pytest.raises(ValueError):
-            vacancy(spec, [(1, 2)], Configuration(([1], [1], [1], [5])), 1, 1)
+            vacancy(spec, [(1, 2)], ((1,), (1,), (1,), (5,)), 1, 1)
         with pytest.raises(ValueError):
-            vacancy(spec, [(1, 2)], Configuration(([1],)), 1, 1)
+            vacancy(spec, [(1, 2)], ((1,),), 1, 1)
+
+    def test_plain_tuples_match_partitions(self):
+        rng = random.Random(8)
+        for _ in range(100):
+            spec, factors, nus = random_configuration(rng)
+            raw = tuple(tuple(nu) + (0,) * rng.randint(0, 1) for nu in nus)
+            for node in range(1, spec.rank + 1):
+                for n in range(1, 8):
+                    want = vacancy(spec, factors, tuple(nus), node, n)
+                    assert vacancy(spec, factors, raw, node, n) == want
+
+    def test_bad_entries_are_refused(self):
+        spec = LieSpec("B", 3)
+        with pytest.raises(ValueError):
+            vacancy(spec, [(1, 2)], ((1,), (1, 2), (2,)), 2, 1)
+        with pytest.raises(TypeError):
+            vacancy(spec, [(1, 2)], ((1,), [1, 1], (2,)), 2, 1)
 
     def test_tables_match_literal_sums(self):
         rng = random.Random(20261018)
@@ -152,7 +168,7 @@ class TestVacancy:
         for _ in range(300):
             spec, factors, nus = random_configuration(rng)
             c = cartan_matrix(spec)
-            cfg = Configuration(tuple(nus))
+            cfg = tuple(nus)
             for node in range(1, spec.rank + 1):
                 for n in range(1, 12):
                     got = vacancy(spec, factors, cfg, node, n)

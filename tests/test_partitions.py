@@ -27,10 +27,14 @@ class TestPartitionType:
         assert Partition([3, 1, 0, 0]) == Partition([3, 1])
         assert Partition([0, 0]) == Partition()
         assert hash(Partition([3, 1, 0])) == hash(Partition([3, 1]))
+        assert type(Partition((3, 1, 0))) is Partition
+        assert Partition((3, 1, 0)) == (3, 1)
 
     def test_rejects_increasing(self):
         with pytest.raises(ValueError):
             Partition([1, 2])
+        with pytest.raises(ValueError):
+            Partition((1, 3))
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -43,6 +47,12 @@ class TestPartitionType:
     def test_json_form(self):
         assert Partition([4, 3, 1]).to_jsonable() == [4, 3, 1]
         assert Partition().to_jsonable() == []
+
+    def test_partition_input_is_returned_as_is(self):
+        p = Partition([4, 3, 1])
+        assert Partition(p) is p
+        empty = Partition()
+        assert Partition(empty) is empty
 
 
 class TestWeightDictionary:
