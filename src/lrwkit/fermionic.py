@@ -15,12 +15,13 @@ node's neighbours with their (a, b). A coupling reads s[n] for (1, 1), s[2n]
 for (2, 1), and s[floor(n/2)] + s[ceil(n/2)] for (1, 2), since
 min(n, 2h) = min(floor(n/2), h) + min(ceil(n/2), h).
 
-Both searches fix nodes in index order. The weight coefficient and the node
-factor at node k depend only on k and its Dynkin neighbours, so each settles
-when the last of them is fixed (``_ready_at``), and a branch is cut there on a
-negative coefficient (decomposition scan) or a zero factor (configuration sum).
-The node factor scans row sizes only up to the longest row of nu_k; past it
-the vacancy number cannot fall (see ``_node_factor``).
+``fermionic_multiplicity`` sums configurations for one weight (``_config_sum``),
+fixing whole partitions in node index order, the only search that still does.
+Each node factor settles once the node and its Dynkin neighbours are fixed
+(``_ready_at``), where a zero factor cuts the branch; it scans row sizes only
+up to the longest row of nu_k (see ``_node_factor``). ``fermionic_decomp``
+grows all partitions one column at a time instead (Kleber's algorithm), so
+every path is one nonzero configuration; the configuration sum is its oracle.
 """
 
 from __future__ import annotations
@@ -247,36 +248,73 @@ def fermionic_decomp(
 ) -> dict[DominantWeight, int]:
     """All dominant weights with nonzero multiplicity, with their multiplicities.
 
-    Candidates live in the box 0 <= n_i <= (root coordinates of the top
-    weight), finite as the inverse Cartan matrix is nonnegative. The scan keeps
-    the weight current (Cartan row i is subtracted each time n_i grows) and cuts
-    a branch at a negative settled coefficient, so only dominant n are summed.
+    Kleber's algorithm as a column sweep, virtual for B and C: on their long
+    nodes (gamma = 2: B 1..n-1, C n) rows and factor lengths are doubled. A
+    path grows all partitions one column t = 1, 2, ... at a time, heights c_t
+    non-increasing, and carries p(t) = sum_{s<=t} (f_s - C.c_s), where f_s
+    counts the factors of stretched length >= s.
+
+    1. p_a(t) is gamma_a times the vacancy number at (a, t/gamma_a): the
+       stretch turns the min(2n, h) and min(n, 2h) couplings of ``_couplings``
+       into min(t, h) = sum_{s<=t} [h >= s] weighted by the Cartan entry.
+    2. p >= 0 at every t is the node-factor check: past a node's longest row
+       p cannot fall, and at an odd t on a stretched node p is at least the
+       mean of its even neighbours (its one convex term is linear there).
+    3. Column heights fix a partition, so paths are the configurations with
+       no negative vacancy number; the step from column t to t+1 multiplies
+       in binomial(p_a(t)/gamma_a + m_a, m_a) for m_a = c_t^a - c_{t+1}^a.
+
+    A path ends at an all-zero column, with n_a = (sum_t c_t^a)/gamma_a. The
+    first column is bounded by the top weight's root coordinates, as n is.
+    The result is ordered by n, ascending.
     """
     factors = _coerce_factors(factors)
     rank = spec.rank
     top = factors.top_weight(rank)
-    c = cartan_matrix(spec)
-    box = [floor(f) for f in root_coords_of_weight_vector(spec, top.coeffs)]
-    touched = [(i, *nbrs) for i, nbrs in enumerate(adjacency(spec))]
+    long_nodes = {"B": range(rank - 1), "C": (rank - 1,)}.get(spec.family, ())
+    gamma = [2 if a in long_nodes else 1 for a in range(rank)]
     ready_at = _ready_at(spec)
-    weight = list(top.coeffs)
-    nvec = [0] * rank
-    result: dict[DominantWeight, int] = {}
+    couplings = _couplings(spec)
+    longest = max(gamma[node - 1] * m for m, node in factors.factors)
+    grown = [[0] * rank for _ in range(longest + 2)]  # grown[t][a] = f_t at node a
+    for m, node in factors.factors:
+        for s in range(1, gamma[node - 1] * m + 1):
+            grown[s][node - 1] += 1
+    box = tuple(floor(x) for x in root_coords_of_weight_vector(spec, top.coeffs))
+    stack = [(0, (0,) * rank, box, (0,) * rank, 1)]  # (t, p, c_t, sum of columns, weight)
+    nxt, q = [0] * rank, [0] * rank
+    sums: dict[tuple[int, ...], int] = {}
 
-    def scan(i: int) -> None:
+    def pick(i: int, weight: int) -> None:
+        """Fix entry i of column t+1 under the popped state; after the last, push or end."""
         if i == rank:
-            m = _config_sum(spec, factors, tuple(nvec))
-            if m:
-                result[DominantWeight(tuple(weight), rank)] = m
+            if any(nxt):
+                total_next = tuple(s + h for s, h in zip(total, nxt))
+                stack.append((t + 1, tuple(q), tuple(nxt), total_next, weight))
+            else:
+                n = tuple(s // g for s, g in zip(total, gamma))
+                sums[n] = sums.get(n, 0) + weight
             return
-        for v in range(box[i] + 1):
-            nvec[i] = v
-            if all(weight[k] >= 0 for k in ready_at[i]):
-                scan(i + 1)
-            for k in touched[i]:
-                weight[k] -= c[i][k]
-        for k in touched[i]:
-            weight[k] += (box[i] + 1) * c[i][k]
+        prev = col[i]
+        for h in (prev,) if t % 2 and gamma[i] == 2 else range(prev + 1):
+            nxt[i] = h
+            for k in ready_at[i]:
+                q[k] = p[k] + f[k] - 2 * nxt[k] + sum(a * nxt[j] for j, a, _ in couplings[k])
+                if q[k] < 0:
+                    break
+            else:
+                m = prev - h
+                pick(i + 1, weight * comb(p[i] // gamma[i] + m, m) if t and m else weight)
 
-    scan(0)
+    while stack:
+        t, p, col, total, acc = stack.pop()
+        f = grown[min(t + 1, longest + 1)]
+        pick(0, acc)
+    result: dict[DominantWeight, int] = {}
+    for n in sorted(sums):
+        lam = [
+            w - 2 * n[k] + sum(b * n[j] for j, _, b in couplings[k])
+            for k, w in enumerate(top.coeffs)
+        ]
+        result[DominantWeight(tuple(lam), rank)] = sums[n]
     return result

@@ -114,7 +114,7 @@ class TestCommands:
         assert json.loads(out)["multiplicity"] == 1
 
     def test_fermionic_high_rank_column_pair(self, capsys):
-        # the root-coordinate box has 30 dimensions: the scan must cut it, not walk it
+        # the root-coordinate box has 30 dimensions: the decomposition must not walk it
         code, out, _ = run(capsys, "fermionic", "D", "30", "--factor", "1,2")
         assert code == 0
         omega2 = [0, 1] + [0] * 28

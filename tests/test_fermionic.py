@@ -1,10 +1,11 @@
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb, floor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lrwkit.classical import min_stable_rank
+from lrwkit.classical import family_decomposition, min_stable_rank
 from lrwkit.fermionic import (
     FactorList,
     _node_factor,
@@ -14,7 +15,8 @@ from lrwkit.fermionic import (
     vacancy,
 )
 from lrwkit.lie import LieSpec, cartan_matrix, root_coords_of_weight_vector
-from lrwkit.partitions import DominantWeight, Partition
+from lrwkit.partitions import DominantWeight, Partition, weight_from_partition
+from lrwkit.schur import mult, schur_basis
 from lrwkit.verify import fermionic_rectangle_agreement
 
 
@@ -344,28 +346,77 @@ def brute_force_decomp(spec, factors):
         ("A", 4, [(2, 1), (1, 3)]),
         ("B", 5, [(2, 2), (1, 3)]),
         ("D", 4, [(1, 1), (1, 3), (1, 4)]),
+        ("C", 4, [(1, 4), (2, 1)]),
     ],
 )
 def test_pruned_scan_matches_full_box(family, rank, factors):
+    # sweep vs. the configuration-sum walk; the C case puts a factor on the stretched node
     spec = LieSpec(family, rank)
     assert fermionic_decomp(spec, factors) == brute_force_decomp(spec, factors)
 
 
+@st.composite
+def specs_with_factors(draw):
+    family = draw(st.sampled_from("ABCD"))
+    spec = LieSpec(family, draw(st.integers(4 if family == "D" else 2, 5)))
+    budget, factors = 7, []  # sum of m * node stays <= 7
+    for _ in range(draw(st.integers(1, 3))):
+        node = draw(st.integers(1, min(spec.rank, budget)))
+        m = draw(st.integers(1, budget // node))
+        factors.append((m, node))
+        budget -= m * node
+        if not budget:
+            break
+    return spec, factors
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(specs_with_factors())
+def test_sweep_matches_full_box_property(case):
+    spec, factors = case
+    assert fermionic_decomp(spec, factors) == brute_force_decomp(spec, factors)
+
+
+FAMILY_TAGS = {"B": ("o", "o_odd"), "C": ("sp", "sp"), "D": ("o", "o_even")}
+
+
+def stable_rank(family, stable_tag, m, rows):
+    # the minimal stable rank of an m^rows rectangle, raised to the family's smallest rank
+    rank = min_stable_rank(Partition([m] * rows), stable_tag)
+    return max(rank, 4 if family == "D" else 2)
+
+
+PRODUCT_RECTANGLES = ((1,), (2,), (3,), (1, 1), (2, 2), (1, 1, 1))
+
+
+@pytest.mark.parametrize("family", "BCD")
+@pytest.mark.parametrize(
+    "r1,r2",
+    list(combinations_with_replacement(PRODUCT_RECTANGLES, 2)),
+    ids=lambda r: "x".join(map(str, r)),
+)
+def test_two_factor_decomp_matches_family_products(family, r1, r2):
+    # at a stable rank the tensor product of the two KR modules is
+    # sum_nu c^nu_{R1 R2} * (family member of nu): an oracle with no fermionic code
+    fam_tag, stable_tag = FAMILY_TAGS[family]
+    rank = stable_rank(family, stable_tag, max(r1[0], r2[0]), len(r1) + len(r2))
+    want = {}
+    for nu, c in mult(schur_basis(r1), schur_basis(r2)).terms.items():
+        for mu, mult_mu in family_decomposition(nu, fam_tag).terms.items():
+            key = weight_from_partition(mu, rank)
+            want[key] = want.get(key, 0) + c * mult_mu
+    factors = [(r1[0], len(r1)), (r2[0], len(r2))]
+    assert fermionic_decomp(LieSpec(family, rank), factors) == want
+
+
 def rectangle_cases():
-    # every m x ell rectangle with sides <= 4 but 4 x 4 (about 7 s for B5 alone),
-    # at the minimal stable rank and, for at most four boxes, one rank above it
+    # every m x ell rectangle with sides <= 4 at the minimal stable rank and,
+    # for at most four boxes, one rank above it
     cases = []
-    for family, fam_tag, stable_tag in (
-        ("B", "o", "o_odd"),
-        ("C", "sp", "sp"),
-        ("D", "o", "o_even"),
-    ):
+    for family, (fam_tag, stable_tag) in FAMILY_TAGS.items():
         for m in range(1, 5):
             for ell in range(1, 5):
-                if m * ell > 12:
-                    continue
-                rank = min_stable_rank(Partition([m] * ell), stable_tag)
-                rank = max(rank, 4 if family == "D" else 2)
+                rank = stable_rank(family, stable_tag, m, ell)
                 cases.append((family, rank, m, ell, fam_tag))
                 if m * ell <= 4:
                     cases.append((family, rank + 1, m, ell, fam_tag))
