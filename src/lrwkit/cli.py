@@ -556,6 +556,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceCapExceeded as exc:
         print(f"lrwkit: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        print(
+            "lrwkit: input nests deeper than Python's recursion limit "
+            f"({sys.getrecursionlimit()}): the fermionic searches take one level "
+            "per Dynkin node, so the rank is the limit",
+            file=sys.stderr,
+        )
+        return 3
     except UsageError as exc:
         print(f"lrwkit: {exc}", file=sys.stderr)
         return 2

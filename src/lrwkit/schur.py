@@ -1,13 +1,14 @@
 """The ring of symmetric functions in the Schur basis, with exact integers.
 
-Products use the Littlewood-Richardson rule via ballot tableaux; the
-determinant expansion and the monomial specialization give two independent
-routes to the same answers.
+Products use the Littlewood-Richardson rule, counting ballot tableaux per
+candidate term; skews list them. The determinant expansion and the monomial
+specialization give two independent routes to the same answers.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate, zip_longest
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -16,7 +17,6 @@ from .partitions import (
     Partition,
     conjugate,
     contains,
-    partitions_of,
     size,
 )
 from .tableaux import SkewShape, _ballot_fillings, lr_coefficient
@@ -91,13 +91,54 @@ def schur_basis(p: Partition | list[int] | tuple[int, ...]) -> Expansion:
     return Expansion({Partition(p): 1}, SCHUR)
 
 
+def _lr_candidates(mu: Partition, nu: Partition) -> list[tuple[int, ...]]:
+    """The lam allowed by the bounds of `_mult_basis`, in descending lex order.
+
+    Each is a plain tuple; the caller turns the ones it keeps into Partitions.
+    """
+    rows = len(mu) + len(nu)
+    pairs = list(zip_longest(mu, nu, fillvalue=0))
+    lower = [max(pair) for pair in pairs] + [0] * (rows - len(pairs))
+    prefix_caps = list(accumulate(a + b for a, b in pairs))
+    n = prefix_caps[-1] if prefix_caps else 0
+    prefix_caps += [n] * (rows - len(pairs))
+    out: list[tuple[int, ...]] = []
+    acc: list[int] = []
+
+    def rec(i: int, prev: int, total: int) -> None:
+        if total == n:
+            out.append(tuple(acc))
+            return
+        # the rest must fit in the rows left, none longer than this one
+        least = max(lower[i], -((total - n) // (rows - i)))
+        for part in range(min(prev, prefix_caps[i] - total), least - 1, -1):
+            acc.append(part)
+            rec(i + 1, part, total + part)
+            acc.pop()
+
+    rec(0, n, 0)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _mult_basis(mu: Partition, nu: Partition) -> Expansion:
-    """Product of two Schur basis elements as a Schur expansion."""
-    n = size(mu) + size(nu)
-    out: dict[Partition, int] = {}
-    for lam in partitions_of(n, max_part=(mu[0] if mu else 0) + (nu[0] if nu else 0),
-                             max_rows=len(mu) + len(nu)):
+    """Product of two Schur basis elements as a Schur expansion.
+
+    Reads `lr_coefficient` only for the lam of |mu| + |nu| that meet three
+    necessary conditions for a nonzero coefficient (Fulton, *Young Tableaux*,
+    1997, section 5):
+    - mu and nu both fit inside lam: lam/mu must exist, and the coefficient
+      is symmetric in mu and nu;
+    - lam is dominated by the row sums mu + nu: in a ballot filling of lam/mu
+      the entries of row i are at most i, so the first k rows of lam/mu hold
+      at most nu_1 + ... + nu_k cells;
+    - lam has at most len(mu) + len(nu) rows: the same bound on conjugates.
+    Every lam skipped has coefficient 0 and candidates come in descending
+    lex order, so the terms and their order are those of a scan over every
+    partition of |mu| + |nu|. Each count builds no filling (`_lr_count`).
+    """
+    out: dict[tuple[int, ...], int] = {}
+    for lam in _lr_candidates(mu, nu):
         c = lr_coefficient(lam, mu, nu)
         if c:
             out[lam] = c
@@ -125,7 +166,7 @@ def skew_schur_expand(lam: Partition, nu: Partition) -> Expansion:
         return Expansion({}, SCHUR)
     shape = SkewShape(lam, nu)
     out: dict[Partition, int] = {}
-    for rows in _ballot_fillings(shape, None):
+    for rows in _ballot_fillings(shape):
         counts: dict[int, int] = {}
         for row in rows:
             for v in row:

@@ -1,4 +1,12 @@
-"""Semi-standard skew tableaux, ballot words, and Littlewood-Richardson counts."""
+"""Semi-standard skew tableaux, ballot words, and Littlewood-Richardson counts.
+
+Two searches over ballot fillings share no code. `_ballot_fillings` lists
+every filling of a skew shape, of any content; it backs
+`enumerate_lr_tableaux` and `schur.skew_schur_expand`. `_lr_count` counts the
+fillings of one content without materialising any; it backs `lr_coefficient`
+and so every Schur product. Each serves as the other's oracle, in the tests
+and in the top degree of the `stable-coefficient-suite` verify check.
+"""
 
 from __future__ import annotations
 
@@ -99,10 +107,8 @@ def content(t: SkewTableau) -> Partition:
     return Partition(vec)
 
 
-def _ballot_fillings(
-    shape: SkewShape, cap: Partition | None
-) -> list[tuple[tuple[int, ...], ...]]:
-    """Fillings whose reverse row word is ballot, optionally with capped content.
+def _ballot_fillings(shape: SkewShape) -> list[tuple[tuple[int, ...], ...]]:
+    """Every filling whose reverse row word is ballot, sorted row by row.
 
     Cells are filled in reverse-row-word order so the ballot condition can be
     enforced on every prefix; ballot also bounds the entry in row i by i+1,
@@ -113,8 +119,6 @@ def _ballot_fillings(
     cells = [
         (i, j) for i in range(nrows) for j in range(spans[i][1] - 1, spans[i][0] - 1, -1)
     ]
-    if cap is not None and sum(cap) != len(cells):
-        return []
     entries = [[0] * (hi - lo) for lo, hi in spans]
     counts = [0] * (nrows + 2)
     results: list[tuple[tuple[int, ...], ...]] = []
@@ -136,8 +140,6 @@ def _ballot_fillings(
         for v in range(lo_val, hi_val + 1):
             if v > 1 and counts[v] >= counts[v - 1]:
                 continue
-            if cap is not None and counts[v] >= (cap[v - 1] if v <= len(cap) else 0):
-                continue
             entries[i][j - lo] = v
             counts[v] += 1
             place(idx + 1)
@@ -154,11 +156,68 @@ def enumerate_lr_tableaux(shape: SkewShape) -> list[SkewTableau]:
     The list is sorted row by row, lexicographically on entries, so output
     order is reproducible.
     """
-    return [SkewTableau(shape, rows) for rows in _ballot_fillings(shape, None)]
+    return [SkewTableau(shape, rows) for rows in _ballot_fillings(shape)]
 
 
 def _lr_count(lam: Partition, mu: Partition, nu: Partition) -> int:
-    return len(_ballot_fillings(SkewShape(lam, mu), nu))
+    """Number of ballot fillings of lam/mu with content nu.
+
+    Needs mu inside lam and |lam| = |mu| + |nu|. The cells are visited in
+    reverse-row-word order (rows top to bottom, each right to left), so the
+    neighbours to the right and above are filled before a cell and bound its
+    entry: at most the one to the right (for the last cell of row i, the
+    ballot bound min(i+1, len(nu))) and more than the one above (or 0). A
+    value v goes in only while fewer than nu_v are placed (content) and fewer
+    v's than v-1's have been read (ballot). The depth-first search keeps one
+    entry per cell and one count per value and only adds up the complete
+    fillings: nothing is materialised.
+    """
+    depth = len(nu)
+    ncells = size(lam) - size(mu)
+    if not ncells:
+        return 1
+    # Slot ncells is the 0 above a cell with nothing above it in lam/mu;
+    # slot ncells+1+i is row i's ballot bound, right of its last cell.
+    entries = [0] * (ncells + 1) + [min(i + 1, depth) for i in range(len(lam))]
+    cells: list[tuple[int, int]] = []  # (right slot, above slot), reading order
+    start = prev_start = 0
+    for i, hi in enumerate(lam):
+        lo = mu[i] if i < len(mu) else 0
+        above_lo = mu[i - 1] if 0 < i <= len(mu) else 0
+        for j in range(hi - 1, lo - 1, -1):
+            right = ncells + 1 + i if j == hi - 1 else len(cells) - 1
+            above = prev_start + lam[i - 1] - 1 - j if i and j >= above_lo else ncells
+            cells.append((right, above))
+        prev_start, start = start, len(cells)
+    counts = [ncells + 1] + [0] * depth  # counts[0] never binds the ballot test
+    caps = [0, *nu]
+    last = ncells - 1
+    low = [0] * ncells  # next value to try in each cell on the current path
+    low[0] = entries[cells[0][1]] + 1
+    k = total = 0
+    while k >= 0:
+        hi = entries[cells[k][0]]
+        v = low[k]
+        while v <= hi:
+            c = counts[v]
+            if c >= caps[v] or c >= counts[v - 1]:
+                v += 1
+            else:
+                break
+        else:  # cell k is exhausted: step back and lift the previous entry
+            k -= 1
+            if k >= 0:
+                counts[entries[k]] -= 1
+            continue
+        low[k] = v + 1
+        if k == last:
+            total += 1
+            continue
+        entries[k] = v
+        counts[v] += 1
+        k += 1
+        low[k] = entries[cells[k][1]] + 1
+    return total
 
 
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:

@@ -317,8 +317,8 @@ def _check_stable_coefficients() -> CheckResult:
         for nu in parts4:
             via_sp = classical.stable_tensor_expansion(mu, nu, "sp").terms
             via_o = classical.stable_tensor_expansion(mu, nu, "o").terms
-            # Top degree is the LR coefficient, counted here by skewing lam by
-            # mu: an uncapped ballot search sharing no cache with lr_coefficient.
+            # Top degree is the LR coefficient, read here from the skew of lam
+            # by mu: the listing search, independent of lr_coefficient's count.
             for lam in partitions_of(size(mu) + size(nu)):
                 if via_sp.get(lam, 0) != schur.skew_schur_expand(lam, mu).coefficient(nu):
                     bad.append(("top-degree", tuple(mu), tuple(nu), tuple(lam)))

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -179,6 +180,22 @@ class TestCommands:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("extra", [[], ["--weight", "0@rank=150"]], ids=["decomp", "weight"])
+    def test_recursion_limit_exits_3(self, capsys, extra):
+        # the fermionic searches nest one frame per Dynkin node; a limit just
+        # above the current depth stands in for a rank near the default 1000
+        depth, frame = 0, sys._getframe()
+        while frame:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            code, out, err = run(capsys, "fermionic", "D", "150", "--factor", "1,2", *extra)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (code, out) == (3, "")
+        assert err.startswith("lrwkit: ") and err.count("\n") == 1 and "rank" in err
+
     def test_usage_error_from_argparse(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["no-such-command"])

@@ -1,11 +1,22 @@
+from itertools import accumulate
+
 import pytest
 
 from lrwkit import verify
-from lrwkit.partitions import Partition, partitions_of, partitions_up_to, size, subpartitions
+from lrwkit.partitions import (
+    Partition,
+    contains,
+    partitions_of,
+    partitions_up_to,
+    size,
+    subpartitions,
+)
 from lrwkit.schur import (
     H_MONOMIAL,
     SCHUR,
     Expansion,
+    _lr_candidates,
+    _mult_basis,
     h_monomial_to_schur,
     jacobi_trudi,
     mult,
@@ -65,6 +76,36 @@ class TestMult:
                 assert mult(schur_basis(mu), schur_basis(nu)) == mult(
                     schur_basis(nu), schur_basis(mu)
                 )
+
+    def test_candidates_are_the_bounded_partitions(self):
+        # every lam of |mu|+|nu| holding mu and nu, dominated by the row sums
+        # mu + nu, with at most len(mu) + len(nu) rows, in descending lex order
+        parts = list(partitions_up_to(5))
+        for mu in parts:
+            for nu in parts:
+                sums = [a + b for a, b in zip(mu + (0,) * len(nu), nu + (0,) * len(mu))]
+                want = [
+                    tuple(lam)
+                    for lam in partitions_of(size(mu) + size(nu))
+                    if contains(lam, mu)
+                    and contains(lam, nu)
+                    and len(lam) <= len(mu) + len(nu)
+                    and all(a <= b for a, b in zip(accumulate(lam), accumulate(sums)))
+                ]
+                assert _lr_candidates(mu, nu) == want, (mu, nu)
+
+    def test_pruned_product_matches_full_scan(self):
+        # the oracle scans every lam and reads its coefficient from the
+        # listing search of skew_schur_expand, not from lr_coefficient
+        parts = list(partitions_up_to(5))
+        for mu in parts:
+            for nu in parts:
+                scan = []
+                for lam in partitions_of(size(mu) + size(nu)):
+                    c = skew_schur_expand(lam, mu).coefficient(nu)
+                    if c:
+                        scan.append((lam, c))
+                assert list(_mult_basis(mu, nu).terms.items()) == scan, (mu, nu)
 
     def test_associative_exhaustive(self):
         parts = list(partitions_up_to(5))

@@ -1,7 +1,14 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from lrwkit.partitions import Partition, partitions_of, partitions_up_to, size
+from lrwkit.partitions import (
+    Partition,
+    conjugate,
+    contains,
+    partitions_of,
+    partitions_up_to,
+    size,
+)
 from lrwkit.schur import poly_add_scaled, poly_mult, schur_polynomial
 from lrwkit.tableaux import (
     SkewShape,
@@ -188,3 +195,22 @@ class TestLrCoefficient:
                                     rhs, schur_polynomial(lam, nvars), c
                                 )
                         assert lhs == rhs, (mu, nu)
+
+
+# Factors of lr-ring's products: at most 4 rows, parts at most 6.
+ring_factors = st.lists(st.integers(1, 6), max_size=4).map(
+    lambda parts: Partition(sorted(parts, reverse=True))
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(ring_factors, ring_factors)
+def test_lr_symmetries_at_ring_sizes(mu, nu):
+    n = size(mu) + size(nu)
+    assume(9 <= n <= 16)
+    # every lam that holds both factors, zero coefficients included
+    for lam in partitions_of(n, max_rows=len(mu) + len(nu)):
+        if contains(lam, mu) and contains(lam, nu):
+            c = lr_coefficient(lam, mu, nu)
+            assert c == lr_coefficient(lam, nu, mu), (lam, mu, nu)
+            assert c == lr_coefficient(conjugate(lam), conjugate(mu), conjugate(nu)), (lam, mu, nu)
