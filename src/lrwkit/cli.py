@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 resource cap
 exceeded. Enumeration-heavy commands refuse inputs larger than the box cap
 (--max-boxes, config key "max_boxes", or LRWKIT_MAX_BOXES; default 10)
-instead of hanging.
+instead of hanging, and ``roots commute`` refuses ranks whose pairs of
+distinguished roots exceed COMMUTE_MAX_PAIRS.
 """
 
 from __future__ import annotations
@@ -28,10 +29,13 @@ from .partitions import (
 )
 
 DEFAULT_MAX_BOXES = 10
+# The commutation check scans every ordered pair of distinguished roots. Near
+# this many pairs it takes about 2 s (rank 79 of D, 77 of C).
+COMMUTE_MAX_PAIRS = 9_000_000
 
 
 class ResourceCapExceeded(Exception):
-    """Raised when an input would push enumeration past the box cap."""
+    """Raised when an input would push enumeration past a resource cap."""
 
 
 class UsageError(Exception):
@@ -312,6 +316,12 @@ def _cmd_roots(args: argparse.Namespace) -> int:
             for (k, l), r in zip(bset.labels, bset.roots)
         ]
     elif args.roots_op == "commute":
+        pairs = looproot.beta_count(spec) ** 2
+        if pairs > COMMUTE_MAX_PAIRS:
+            raise ResourceCapExceeded(
+                f"commutation check at {spec.family} {spec.rank} scans {pairs:,} pairs "
+                f"of distinguished roots, over the limit of {COMMUTE_MAX_PAIRS:,} pairs"
+            )
         payload = looproot.commute_check(spec)
         rows = [
             ["beta_count", payload["beta_count"]],

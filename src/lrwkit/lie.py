@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -71,39 +72,51 @@ def weight_of_root_vector(spec: LieSpec, coords: tuple[int, ...]) -> tuple[int, 
     return tuple(sum(coords[i] * c[i][k] for i in range(n)) for k in range(n))
 
 
-def _solve_fractions(
-    matrix: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction]:
-    """Solve an invertible square system exactly: forward elimination, then
-    back substitution.
-
-    Only rows below each pivot are cleared, so a Cartan matrix (a path with
-    one fork or double bond) costs O(rank^2) operations, not O(rank^3).
-    """
-    n = len(rhs)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[pivot] = a[pivot], a[col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = a[r][col] / a[col][col]
-                a[r] = [v - factor * w if w else v for v, w in zip(a[r], a[col])]
-    x = [Fraction(0)] * n
-    for i in reversed(range(n)):
-        tail = sum(a[i][j] * x[j] for j in range(i + 1, n) if a[i][j] != 0)
-        x[i] = (a[i][n] - tail) / a[i][i]
-    return x
-
-
 def root_coords_of_weight_vector(
     spec: LieSpec, weight_coords: tuple[int, ...]
 ) -> tuple[Fraction, ...]:
-    """Exact simple-root coordinates of a vector given in weight coordinates."""
-    c = cartan_matrix(spec)
+    """Exact simple-root coordinates of a vector given in weight coordinates.
+
+    Closed form, in integers over one denominator. For A the inverse Cartan
+    matrix is (C^-1)_ik = min(i, k) - ik/(n+1), applied through prefix sums.
+    For B, C and D the weight sum_k w_k varpi_k is written in orthogonal
+    coordinates v (Bourbaki, Plates II-IV: varpi_k = e_1 + ... + e_k, the
+    spin weights halved) and then summed as in looproot's
+    ``_from_orthogonal``: b_k = v_1 + ... + v_k, the C tail halved and the D
+    tail (S_{n-1} - v_n)/2, S_n/2.
+    """
     n = spec.rank
-    transpose = [[Fraction(c[i][k]) for i in range(n)] for k in range(n)]
-    return tuple(_solve_fractions(transpose, [Fraction(w) for w in weight_coords]))
+    w = weight_coords
+    if len(w) != n:
+        raise ValueError(f"expected {n} weight coordinates, got {len(w)}")
+    if spec.family == "A":
+        # (n+1) b_i = (n+1) (sum_{k<=i} k w_k + i sum_{k>i} w_k) - i sum_k k w_k
+        weighted = list(accumulate(k * x for k, x in enumerate(w, 1)))
+        tails = list(accumulate(reversed(w)))[::-1] + [0]
+        return tuple(
+            Fraction((n + 1) * (weighted[i - 1] + i * tails[i]) - i * weighted[-1], n + 1)
+            for i in range(1, n + 1)
+        )
+    # v2 = 2v. Nodes below chain_end have varpi_k = e_1 + ... + e_k; the rest
+    # are spin weights, each half of e_1 + ... + e_n (D's varpi_{n-1} with -e_n).
+    chain_end = {"B": n - 1, "C": n, "D": n - 2}[spec.family]
+    spin = w[chain_end:]
+    head = 2 * sum(w[:chain_end]) + sum(spin)
+    v2 = []
+    for j in range(n):
+        v2.append(head)
+        if j < chain_end:
+            head -= 2 * w[j]
+    if spec.family == "D":
+        v2[-1] = spin[1] - spin[0]
+    sums2 = list(accumulate(v2))  # 2 S_k
+    scaled = [2 * x for x in sums2]  # 4 b_k
+    if spec.family == "C":
+        scaled[-1] = sums2[-1]
+    elif spec.family == "D":
+        scaled[-2] = sums2[-2] - v2[-1]
+        scaled[-1] = sums2[-1]
+    return tuple(Fraction(x, 4) for x in scaled)
 
 
 def integer_root_coords(

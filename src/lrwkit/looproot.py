@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from operator import add
+from itertools import accumulate, chain
+from operator import add, mul
 
 from .lie import LieSpec, adjacency, cartan_matrix, weight_of_root_vector
 from .partitions import RootLatticeElement
@@ -219,6 +219,12 @@ def cone_membership(
     return solutions
 
 
+def beta_count(spec: LieSpec) -> int:
+    """The number of distinguished roots, from the label range alone."""
+    l_max = spec.rank - 2 if spec.family == "D" else spec.rank - 1
+    return l_max * (l_max + 1) // 2 if spec.family == "C" else l_max * (l_max - 1) // 2
+
+
 def commute_check(spec: LieSpec) -> dict:
     """Exhaustively verify the commutation properties of the distinguished roots.
 
@@ -226,20 +232,57 @@ def commute_check(spec: LieSpec) -> dict:
     root is a positive root; (iii) lowering by a simple root lands on a later
     distinguished root, except at the final column index where it may leave
     the set. Returns a report whose violation lists are empty on success.
+
+    Every root is keyed by one integer, its coordinates read in a mixed radix
+    wide enough for a pair sum minus a simple root, so a pair sum is an int
+    add and "minus alpha_i" one subtraction. A row r is re-scanned over
+    coordinate tuples (which fixes the order of the violation lists) only
+    when its keys meet a positive root: (i) and (ii) are set-disjointness
+    tests of the sums beta_r + beta_s, grouped by their alpha_n coefficient.
     """
     bset = beta_roots(spec)
     betas = [root.coords for root in bset.roots]
     labels = bset.labels
     allowed = {root.coords for root in positive_roots(spec)}
+    n = spec.rank
+    # Compared vectors have coordinates in [-(2m + 1), 2m + 1]; a base above
+    # twice that keeps their keys distinct.
+    m = max(map(abs, chain.from_iterable(allowed | set(betas))), default=0)
+    unit = [(4 * m + 3) ** i for i in range(n)]
+    allowed_keys = {sum(map(mul, coords, unit)) for coords in allowed}
+    beta_keys = [sum(map(mul, coords, unit)) for coords in betas]
+    by_last: dict[int, list[int]] = {}
+    for coords, k in zip(betas, beta_keys):
+        by_last.setdefault(coords[-1], []).append(k)
     # Subtracting alpha_i for i < n keeps the alpha_n coefficient, so a sum whose
     # alpha_n coefficient no positive root has can only reach one via alpha_n.
     last_coeffs = {coords[-1] for coords in allowed}
-    position = {coords: p for p, coords in enumerate(betas)}
-    n = spec.rank
+    # total - alpha_i is a positive root iff key(total) lies in raised_last
+    # (i = n) or raised_rest (i < n). targets[t] lists the key sets that a sum
+    # with alpha_n coefficient t can meet.
+    raised_last = {a + unit[-1] for a in allowed_keys}
+    raised_rest: set[int] = set()
+    targets: dict[int, list[set[int]]] = {}
+    for t in {c + d for c in by_last for d in by_last}:
+        targets[t] = []
+        if t in last_coeffs:
+            if not raised_rest:
+                raised_rest = {a + u for a in allowed_keys for u in unit[:-1]}
+            targets[t] += [allowed_keys, raised_rest]
+        if t - 1 in last_coeffs:
+            targets[t].append(raised_last)
+    position = {k: p for p, k in enumerate(beta_keys)}
     pair_sum: list[dict] = []
     pair_sum_minus_simple: list[dict] = []
     lowering: list[dict] = []
     for r, beta_r in enumerate(betas):
+        add_r = beta_keys[r].__add__
+        if all(
+            target.isdisjoint(map(add_r, keys))
+            for last, keys in by_last.items()
+            for target in targets[beta_r[-1] + last]
+        ):
+            continue
         for s, beta_s in enumerate(betas):
             total = tuple(map(add, beta_r, beta_s))
             if total in allowed:
@@ -252,11 +295,14 @@ def commute_check(spec: LieSpec) -> dict:
                     )
     for r, beta in enumerate(betas):
         for i in range(n):
-            lowered = beta[:i] + (beta[i] - 1,) + beta[i + 1 :]
+            lowered = beta_keys[r] - unit[i]
+            if lowered not in allowed_keys:
+                continue
             later = position.get(lowered, -1) >= r
             escape = labels[r][1] == bset.l_max and i + 1 == bset.l_max
-            if lowered in allowed and not (later or escape):
-                lowering.append({"r": labels[r], "i": i + 1, "lowered": list(lowered)})
+            if not (later or escape):
+                coords = beta[:i] + (beta[i] - 1,) + beta[i + 1 :]
+                lowering.append({"r": labels[r], "i": i + 1, "lowered": list(coords)})
     return {
         "family": spec.family,
         "rank": spec.rank,

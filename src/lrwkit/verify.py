@@ -335,21 +335,22 @@ def _check_stable_coefficients() -> CheckResult:
 def _check_lr_oracle() -> CheckResult:
     bad = []
     for total in range(7):
+        nvars = max(total, 1)
+        # every s_lam(x_1..x_nvars) that the products of this degree read, once
+        polys = {
+            lam: schur.schur_polynomial(lam, nvars)
+            for j in range(total + 1)
+            for lam in partitions_of(j)
+        }
         for k in range(total + 1):
             for mu in partitions_of(k):
                 for nu in partitions_of(total - k):
-                    nvars = max(total, 1)
-                    lhs = schur.poly_mult(
-                        schur.schur_polynomial(mu, nvars),
-                        schur.schur_polynomial(nu, nvars),
-                    )
+                    lhs = schur.poly_mult(polys[mu], polys[nu])
                     rhs: dict = {}
                     for lam, c in schur.mult(
                         schur.schur_basis(mu), schur.schur_basis(nu)
                     ).terms.items():
-                        schur.poly_add_scaled(
-                            rhs, schur.schur_polynomial(lam, nvars), c
-                        )
+                        schur.poly_add_scaled(rhs, polys[lam], c)
                     if lhs != rhs:
                         bad.append((tuple(mu), tuple(nu)))
     return _result("lr-monomial-oracle-up-to-6", [], bad)

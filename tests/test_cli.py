@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from lrwkit.cli import main, parse_partition, parse_weight
+from lrwkit import looproot
+from lrwkit.cli import COMMUTE_MAX_PAIRS, main, parse_partition, parse_weight
 from lrwkit.lie import LieSpec
 from lrwkit.looproot import beta_roots
 from lrwkit.partitions import DominantWeight, Partition
@@ -195,6 +196,20 @@ class TestExitCodes:
             sys.setrecursionlimit(limit)
         assert (code, out) == (3, "")
         assert err.startswith("lrwkit: ") and err.count("\n") == 1 and "rank" in err
+
+    @pytest.mark.parametrize("family,rank", [("D", 1000), ("C", 78), ("B", 79), ("D", 80)])
+    def test_commute_pair_cap_exits_3(self, capsys, family, rank):
+        code, out, err = run(capsys, "roots", "commute", family, str(rank))
+        assert (code, out) == (3, "")
+        assert err.startswith("lrwkit: ") and err.count("\n") == 1
+        assert f"over the limit of {COMMUTE_MAX_PAIRS:,} pairs" in err
+
+    def test_commute_pair_cap_admits_largest_ranks(self):
+        # the ranks just under the cap answer in about 2 s; the benchmark's
+        # ranks (10 to 18, and D 40) sit far below it
+        for family, rank in (("D", 79), ("C", 77), ("B", 78)):
+            assert looproot.beta_count(LieSpec(family, rank)) ** 2 <= COMMUTE_MAX_PAIRS
+            assert looproot.beta_count(LieSpec(family, rank + 1)) ** 2 > COMMUTE_MAX_PAIRS
 
     def test_usage_error_from_argparse(self, capsys):
         with pytest.raises(SystemExit) as err:

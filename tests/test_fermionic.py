@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations_with_replacement, product
 from math import comb, floor
 
@@ -431,3 +432,46 @@ def test_rectangle_agreement(family, rank, m, ell, fam_tag):
 def test_rectangle_agreement_above_stable_rank():
     # one notch above the threshold the decomposition must not change shape
     assert fermionic_rectangle_agreement([("B", 4, 2, 2, "o")]) == []
+
+
+def q_system_extra(family, rank, a, m):
+    """The factors S of the Q-system relation at node a (ROADMAP item 1)."""
+    half, rest = m // 2, m - m // 2
+    if a <= rank - (3 if family == "D" else 2):
+        return [(m, a - 1), (m, a + 1)]
+    if family == "B" and a == rank - 1:
+        return [(m, rank - 2), (2 * m, rank)]
+    if family == "B":
+        return [(half, rank - 1), (rest, rank - 1)]
+    if family == "C" and a == rank - 1:
+        return [(m, rank - 2), (half, rank), (rest, rank)]
+    if family == "C":
+        return [(2 * m, rank - 1)]
+    if a == rank - 2:
+        return [(m, rank - 3), (m, rank - 1), (m, rank)]
+    return [(m, rank - 2)]
+
+
+def decomp_counter(spec, factors):
+    # factors with m = 0 or node 0 are trivial; no factor at all is the trivial module
+    factors = [(m, a) for m, a in factors if m and a]
+    if not factors:
+        return Counter({(0,) * spec.rank: 1})
+    return Counter(decomp_as_plain(spec, factors))
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [(f, r) for f in "BC" for r in range(2, 6)] + [("D", 4), ("D", 5)],
+)
+def test_q_system(family, rank):
+    # Kirillov-Reshetikhin Q-system (Kirillov-Reshetikhin 1987; Hernandez 2006):
+    # W(m,a) x W(m,a) = W(m+1,a) x W(m-1,a) + (x) S, as classical decompositions.
+    # An oracle at every rank and on every node, end and spin nodes included.
+    spec = LieSpec(family, rank)
+    for a in range(1, rank + 1):
+        for m in (1, 2):
+            square = decomp_counter(spec, [(m, a), (m, a)])
+            split = decomp_counter(spec, [(m + 1, a), (m - 1, a)])
+            split.update(decomp_counter(spec, q_system_extra(family, rank, a, m)))
+            assert square == split, (a, m)

@@ -1,0 +1,78 @@
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lrwkit.lie import (
+    LieSpec,
+    cartan_matrix,
+    integer_root_coords,
+    root_coords_of_weight_vector,
+)
+
+
+def solve_fractions(matrix, rhs):
+    """Solve an invertible square system exactly by Gaussian elimination."""
+    n = len(rhs)
+    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        for r in range(col + 1, n):
+            if a[r][col] != 0:
+                factor = a[r][col] / a[col][col]
+                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        tail = sum(a[i][j] * x[j] for j in range(i + 1, n))
+        x[i] = (a[i][n] - tail) / a[i][i]
+    return x
+
+
+def root_coords_oracle(spec, weight):
+    """Root coordinates by eliminating C^T b = w, with no closed form."""
+    c = cartan_matrix(spec)
+    n = spec.rank
+    transpose = [[Fraction(c[i][k]) for i in range(n)] for k in range(n)]
+    return tuple(solve_fractions(transpose, [Fraction(x) for x in weight]))
+
+
+@st.composite
+def weights(draw):
+    family = draw(st.sampled_from("ABCD"))
+    rank = draw(st.integers(4 if family == "D" else 2, 12))
+    weight = draw(st.lists(st.integers(-9, 9), min_size=rank, max_size=rank))
+    return LieSpec(family, rank), tuple(weight)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(weights())
+def test_closed_form_matches_elimination(case):
+    spec, weight = case
+    got = root_coords_of_weight_vector(spec, weight)
+    want = root_coords_oracle(spec, weight)
+    assert got == want
+    assert all(type(x) is Fraction for x in got)
+    c = cartan_matrix(spec)
+    back = tuple(sum(got[i] * c[i][k] for i in range(spec.rank)) for k in range(spec.rank))
+    assert back == weight
+    integral = integer_root_coords(spec, weight)
+    if any(x.denominator != 1 for x in want):
+        assert integral is None
+    else:
+        assert integral == tuple(int(x) for x in want)
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_fundamental_weights(family):
+    # each fundamental weight, the column of C^-1 that carries the denominators
+    for rank in range(4 if family == "D" else 2, 13):
+        spec = LieSpec(family, rank)
+        for k in range(rank):
+            weight = tuple(int(i == k) for i in range(rank))
+            assert root_coords_of_weight_vector(spec, weight) == root_coords_oracle(spec, weight)
+
+
+def test_length_mismatch():
+    with pytest.raises(ValueError):
+        root_coords_of_weight_vector(LieSpec("B", 3), (1, 0))

@@ -22,13 +22,15 @@ def elem(coords):
 def commute_oracle(spec):
     """The commutation report by the direct search in simple-root coordinates.
 
-    Every candidate is wrapped as a root-lattice element and looked up in the
-    positive roots; a later distinguished root is found by a linear scan.
+    Every pair and every simple root is tried, each candidate looked up by its
+    coordinate tuple among the positive roots; a later distinguished root is
+    found by a linear scan.
     """
     bset = looproot.beta_roots(spec)
     betas = bset.roots
     labels = bset.labels
     allowed = looproot.positive_roots(spec)
+    coords_allowed = {root.coords for root in allowed}
     n = spec.rank
     pair_sum = []
     pair_sum_minus_simple = []
@@ -36,12 +38,12 @@ def commute_oracle(spec):
     for r in range(len(betas)):
         for s in range(len(betas)):
             total = tuple(a + b for a, b in zip(betas[r].coords, betas[s].coords))
-            if RootLatticeElement(total, n) in allowed:
+            if total in coords_allowed:
                 pair_sum.append({"r": labels[r], "s": labels[s], "sum": list(total)})
             for i in range(n):
                 shifted = list(total)
                 shifted[i] -= 1
-                if RootLatticeElement(tuple(shifted), n) in allowed:
+                if tuple(shifted) in coords_allowed:
                     pair_sum_minus_simple.append(
                         {"r": labels[r], "s": labels[s], "i": i + 1, "sum": shifted}
                     )
@@ -335,6 +337,63 @@ class TestCommute:
         assert report == commute_oracle(spec)
         for _, violations in extra:
             assert report[violations], violations
+
+    @pytest.mark.parametrize("family,rank", [("D", 24), ("C", 20), ("B", 20)])
+    def test_matches_oracle_at_higher_rank(self, family, rank):
+        spec = LieSpec(family, rank)
+        assert commute_check(spec) == commute_oracle(spec)
+
+    @pytest.mark.parametrize("family", ["B", "C", "D"])
+    def test_violations_among_many_rows(self, monkeypatch, family):
+        # At rank 12 only the rows of the injected sums may be re-scanned;
+        # every kind of violation must still come out as the full scan has it.
+        spec = LieSpec(family, 12)
+        betas = [root.coords for root in beta_roots(spec).roots]
+        n, mid = spec.rank, len(betas) // 2
+
+        def shifted(coords, i):
+            return coords[:i] + (coords[i] - 1,) + coords[i + 1 :]
+
+        total = tuple(a + b for a, b in zip(betas[mid], betas[-1]))
+        extra = {
+            total,
+            shifted(total, 0),
+            shifted(total, n - 1),
+            shifted(tuple(a + b for a, b in zip(betas[1], betas[2])), n // 2),
+            shifted(betas[-1], n - 1),
+        }
+        roots = positive_roots(spec) | {elem(coords) for coords in extra}
+        monkeypatch.setattr(looproot, "positive_roots", lambda _spec: roots)
+        report = commute_check(spec)
+        assert report == commute_oracle(spec)
+        assert report["pair_sum_violations"]
+        assert report["pair_sum_minus_simple_violations"]
+        assert report["lowering_violations"]
+        rows = {v["r"] for v in report["pair_sum_violations"]}
+        rows |= {v["r"] for v in report["pair_sum_minus_simple_violations"]}
+        assert 0 < len(rows) < len(betas) // 2
+
+    @pytest.mark.parametrize("family", ["B", "C", "D"])
+    def test_key_base_fits_extra_roots(self, monkeypatch, family):
+        # A "root" with a coordinate beyond any real one: read in the radix the
+        # real roots alone would give (11), it has the key of a lowered
+        # distinguished root that is no root, and must not be reported as one.
+        spec = LieSpec(family, 8)
+        beta = beta_roots(spec).roots[0].coords
+        lowered = beta[:-1] + (beta[-1] - 1,)
+        assert elem(lowered) not in positive_roots(spec)
+        alias = lowered[:-2] + (lowered[-2] + 11, lowered[-1] - 1)
+        roots = positive_roots(spec) | {elem(alias)}
+        monkeypatch.setattr(looproot, "positive_roots", lambda _spec: roots)
+        report = commute_check(spec)
+        assert report == commute_oracle(spec)
+        assert report["lowering_violations"] == []
+
+    def test_beta_count(self):
+        for family in "BCD":
+            for rank in range(4 if family == "D" else 2, 30):
+                spec = LieSpec(family, rank)
+                assert looproot.beta_count(spec) == len(beta_roots(spec).roots)
 
     @pytest.mark.parametrize("family", ["B", "C", "D"])
     def test_lowering_to_an_earlier_root(self, monkeypatch, family):
