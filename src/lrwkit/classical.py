@@ -12,9 +12,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from .partitions import Partition, contains, size, subpartitions
+from .partitions import Partition, contains, size
 from .schur import (
     IRREDUCIBLE,
     ORTHOGONAL,
@@ -50,14 +50,44 @@ def _check_family(family: str) -> str:
     return family
 
 
+def _domino_subpartitions(lam: Partition, columns: bool) -> Iterator[Partition]:
+    """The subpartitions of lam that tile by dominoes, in `subpartitions` order.
+
+    Vertical dominoes (columns) tile the partitions whose rows come in equal
+    pairs, horizontal ones those whose parts are all even. So a prefix grows
+    by two equal rows, or by one even row, smallest part first.
+    `subpartitions` grows a prefix one row at a time, smallest part first,
+    and lists it before its extensions; between a tileable prefix and its
+    extension by a pair (a, a) it lists only untileable ones, so both give
+    the tileable partitions in the same order. `even_column_heights` and
+    `even_row_lengths` test the same classes one partition at a time, and
+    the tests use them as this generator's oracle.
+    """
+    rows, first, step = (2, 1, 1) if columns else (1, 2, 2)
+    acc: list[int] = []
+
+    def rec(i: int, prev: int) -> Iterator[Partition]:
+        yield Partition(acc)
+        if i + rows > len(lam):
+            return
+        for part in range(first, min(prev, lam[i + rows - 1]) + 1, step):
+            acc.extend((part,) * rows)
+            yield from rec(i + rows, part)
+            del acc[-rows:]
+
+    return rec(0, lam[0] if lam else 0)
+
+
 @lru_cache(maxsize=None)
 def _domino_class_sum(lam: Partition, columns: bool) -> Expansion:
-    """Sum of skew expansions of lam over all contained domino-tileable inners."""
-    test = even_column_heights if columns else even_row_lengths
+    """Sum of skew expansions of lam over all contained domino-tileable inners.
+
+    The inners come from `_domino_subpartitions`, which generates only the
+    tileable ones.
+    """
     out: dict[Partition, int] = {}
-    for nu in subpartitions(lam):
-        if test(nu):
-            _accumulate(out, skew_schur_expand(lam, nu).terms)
+    for nu in _domino_subpartitions(lam, columns):
+        _accumulate(out, skew_schur_expand(lam, nu).terms)
     return Expansion(out, SCHUR)
 
 
@@ -112,9 +142,15 @@ def stable_tensor_expansion(mu: Partition, nu: Partition, family: str) -> Expans
     """Product of two classical basis elements, expanded in the same basis.
 
     Computed by moving both factors to the Schur basis, multiplying there,
-    and restricting back.
+    and restricting back. The product is symmetric in mu and nu, so it is
+    computed once per unordered pair, with the larger factor (by size, then
+    by tuple) first; the other order is a cache entry that calls this one.
+    The two families are still computed separately: their agreement is a
+    check (`stable-coefficient-suite`).
     """
     _check_family(family)
+    if (size(mu), mu) < (size(nu), nu):
+        return stable_tensor_expansion(nu, mu, family)
     prod = mult(_universal_in_schur(mu, family), _universal_in_schur(nu, family))
     return _branch_expansion(prod, family)
 

@@ -7,6 +7,7 @@ on exact integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 from typing import Iterable, Iterator
 
 
@@ -55,7 +56,7 @@ class DominantWeight:
     rank: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(int, self.coeffs)))
         if self.rank < 1:
             raise ValueError(f"rank must be positive: {self.rank}")
         if len(self.coeffs) != self.rank:
@@ -80,7 +81,7 @@ class RootLatticeElement:
     rank: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(map(int, self.coords)))
         if len(self.coords) != self.rank:
             raise ValueError(
                 f"expected {self.rank} coordinates, got {len(self.coords)}"
@@ -111,9 +112,7 @@ def conjugate(p: Partition) -> Partition:
 
 def contains(outer: Partition, inner: Partition) -> bool:
     """True iff the diagram of inner fits inside the diagram of outer."""
-    if len(inner) > len(outer):
-        return False
-    return all(inner[i] <= outer[i] for i in range(len(inner)))
+    return len(inner) <= len(outer) and all(map(le, inner, outer))
 
 
 def partition_from_weight(w: DominantWeight) -> Partition:

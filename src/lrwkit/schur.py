@@ -136,6 +136,11 @@ def _mult_basis(mu: Partition, nu: Partition) -> Expansion:
     Every lam skipped has coefficient 0 and candidates come in descending
     lex order, so the terms and their order are those of a scan over every
     partition of |mu| + |nu|. Each count builds no filling (`_lr_count`).
+
+    The bounds are symmetric in mu and nu, so both orders give the same
+    terms in the same order. `mult` reads one entry per unordered pair, with
+    the larger factor (by size, then by tuple) as mu: it is the inner shape,
+    and `_lr_count` fills only the |nu| cells of the smaller one.
     """
     out: dict[tuple[int, ...], int] = {}
     for lam in _lr_candidates(mu, nu):
@@ -151,8 +156,11 @@ def mult(a: Expansion, b: Expansion) -> Expansion:
         raise ValueError(f"mult needs Schur-tagged inputs, got {a.basis}, {b.basis}")
     out: dict[Partition, int] = {}
     for mu, cm in a.terms.items():
+        key = (size(mu), mu)
         for nu, cn in b.terms.items():
-            _accumulate(out, _mult_basis(mu, nu).terms, cm * cn)
+            # one cache entry per unordered pair, the larger factor first
+            pair = (mu, nu) if key >= (size(nu), nu) else (nu, mu)
+            _accumulate(out, _mult_basis(*pair).terms, cm * cn)
     return Expansion(out, SCHUR)
 
 

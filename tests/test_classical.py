@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lrwkit import verify
 from lrwkit.classical import (
+    FAMILIES,
     FamilyDecomposition,
+    _domino_subpartitions,
     branch_schur,
     even_column_heights,
     even_row_lengths,
@@ -13,8 +16,16 @@ from lrwkit.classical import (
     tensor_product_two_ways,
     to_schur,
 )
-from lrwkit.partitions import Partition, conjugate, contains, partitions_up_to, size
-from lrwkit.schur import ORTHOGONAL, SYMPLECTIC, Expansion, schur_basis
+from lrwkit.partitions import (
+    Partition,
+    conjugate,
+    contains,
+    partitions_of,
+    partitions_up_to,
+    size,
+    subpartitions,
+)
+from lrwkit.schur import ORTHOGONAL, SYMPLECTIC, Expansion, schur_basis, skew_schur_expand
 
 
 def exp(terms, basis):
@@ -34,10 +45,15 @@ class TestDominoClasses:
         assert even_column_heights(Partition()) and even_row_lengths(Partition())
 
     def test_conjugate_swaps_classes(self):
-        from lrwkit.partitions import conjugate
-
         for p in partitions_up_to(8):
             assert even_column_heights(p) == even_row_lengths(conjugate(p))
+
+    def test_generated_inners_are_the_filtered_subpartitions(self):
+        # the generator against a filter over subpartitions, order included
+        for lam in partitions_up_to(12):
+            for columns, test in ((True, even_column_heights), (False, even_row_lengths)):
+                want = [nu for nu in subpartitions(lam) if test(nu)]
+                assert list(_domino_subpartitions(lam, columns)) == want, (lam, columns)
 
 
 class TestBranch:
@@ -119,6 +135,45 @@ class TestStableTensor:
     def test_families_agree_and_grade(self):
         result = verify._check_stable_coefficients()
         assert result.passed, (result.expected, result.actual)
+
+    def test_one_entry_per_unordered_pair(self):
+        mu, nu = Partition([2, 1]), Partition([3, 1])
+        for family in FAMILIES:
+            assert stable_tensor_expansion(mu, nu, family) is stable_tensor_expansion(
+                nu, mu, family
+            )
+
+
+# Pairs of at most 8 boxes together: products cheap enough to draw many.
+small_pairs = st.sampled_from(
+    [(mu, nu) for mu in partitions_up_to(8) for nu in partitions_up_to(8 - size(mu))]
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(small_pairs)
+def test_omega_duality(pair):
+    # conjugating every partition swaps the two domino classes, so the
+    # symplectic product of (mu, nu) is the orthogonal one of (mu', nu')
+    mu, nu = pair
+    sp = stable_tensor_expansion(mu, nu, SYMPLECTIC).terms
+    dual = stable_tensor_expansion(conjugate(mu), conjugate(nu), ORTHOGONAL).terms
+    assert sp == {conjugate(lam): c for lam, c in dual.items()}, pair
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(small_pairs, st.sampled_from(FAMILIES))
+def test_grading(pair, family):
+    # every lam has |mu| + |nu| - 2k boxes and a positive coefficient, and the
+    # top degree is the LR product, read from the listing search
+    mu, nu = pair
+    n = size(mu) + size(nu)
+    terms = stable_tensor_expansion(mu, nu, family).terms
+    for lam, c in terms.items():
+        assert c > 0 and size(lam) <= n and (n - size(lam)) % 2 == 0, (pair, lam)
+    top = {lam: c for lam, c in terms.items() if size(lam) == n}
+    scan = {lam: skew_schur_expand(lam, mu).coefficient(nu) for lam in partitions_of(n)}
+    assert top == {lam: c for lam, c in scan.items() if c}, pair
 
 
 class TestFamilyDecomposition:

@@ -70,12 +70,21 @@ class TestMult:
         assert all(size(lam) == 8 for lam in prod.terms)
 
     def test_commutative_exhaustive_small(self):
+        # both orders of every pair against the listing search of
+        # skew_schur_expand, which reads lam/mu for the one and lam/nu for
+        # the other; mult itself keeps one _mult_basis entry per unordered pair
         parts = list(partitions_up_to(5))
+        _mult_basis.cache_clear()
         for mu in parts:
             for nu in parts:
-                assert mult(schur_basis(mu), schur_basis(nu)) == mult(
-                    schur_basis(nu), schur_basis(mu)
-                )
+                scan = []
+                for lam in partitions_of(size(mu) + size(nu)):
+                    c = skew_schur_expand(lam, mu).coefficient(nu)
+                    if c:
+                        scan.append((lam, c))
+                got = mult(schur_basis(mu), schur_basis(nu))
+                assert list(got.terms.items()) == scan, (mu, nu)
+        assert _mult_basis.cache_info().misses == len(parts) * (len(parts) + 1) // 2
 
     def test_candidates_are_the_bounded_partitions(self):
         # every lam of |mu|+|nu| holding mu and nu, dominated by the row sums
