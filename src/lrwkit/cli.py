@@ -334,12 +334,8 @@ def _cmd_roots(args: argparse.Namespace) -> int:
             ["ok", str(payload["ok"]).lower()],
         ]
     else:  # cone
-        if args.alpha is not None:
+        if args.alpha is not None:  # RootLatticeElement checks the length
             coords = parse_int_vector(args.alpha)
-            if len(coords) != spec.rank:
-                raise UsageError(
-                    f"expected {spec.rank} coordinates, got {len(coords)}"
-                )
         else:
             wvec = parse_int_vector(args.weight)
             if len(wvec) != spec.rank:
@@ -377,19 +373,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         for check in report.checks:
             print(json.dumps(check.to_jsonable(), separators=(",", ":")))
-        print(
-            json.dumps(
-                {
-                    "summary": {
-                        "level": report.level,
-                        "total": len(report.checks),
-                        "passed": report.passed,
-                        "failed": report.failed,
-                    }
-                },
-                separators=(",", ":"),
-            )
-        )
+        summary = report.to_jsonable()["summary"]
+        print(json.dumps({"summary": {"level": report.level, **summary}}, separators=(",", ":")))
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -574,10 +559,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 3
-    except UsageError as exc:
-        print(f"lrwkit: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"lrwkit: {exc}", file=sys.stderr)
         return 2
 

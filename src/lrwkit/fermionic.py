@@ -31,7 +31,13 @@ from functools import lru_cache
 from math import comb, floor
 from typing import Iterable, Sequence
 
-from .lie import LieSpec, adjacency, cartan_matrix, root_coords_of_weight_vector
+from .lie import (
+    LieSpec,
+    adjacency,
+    cartan_matrix,
+    integer_root_coords,
+    root_coords_of_weight_vector,
+)
 from .partitions import DominantWeight, Partition, partitions_of
 
 
@@ -101,10 +107,10 @@ def alpha_coords(
         raise ValueError(f"weight rank {lam.rank} does not match spec rank {spec.rank}")
     top = factors.top_weight(spec.rank)
     diff = tuple(t - l for t, l in zip(top.coeffs, lam.coeffs))
-    sol = root_coords_of_weight_vector(spec, diff)
-    if any(f.denominator != 1 or f < 0 for f in sol):
+    coords = integer_root_coords(spec, diff)
+    if coords is None or any(x < 0 for x in coords):
         return None
-    return tuple(int(f) for f in sol)
+    return coords
 
 
 @lru_cache(maxsize=None)

@@ -65,6 +65,32 @@ def adjacency(spec: LieSpec) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _from_orthogonal(spec: LieSpec, v: list[int]) -> tuple[int, ...]:
+    """Simple-root coordinates of sum_i v_i e_i in Bourbaki's realization of B/C/D.
+
+    Coordinate k is the partial sum S_k = v_1 + ... + v_k; for C the last one
+    is halved (alpha_n = 2e_n), for D the last two are (S_{n-1} - v_n)/2 and
+    S_n/2 (alpha_{n-1}, alpha_n = e_{n-1} -+ e_n).
+    """
+    coords = list(accumulate(v))
+    if spec.family == "C":
+        coords[-1] //= 2
+    elif spec.family == "D":
+        coords[-2] = (coords[-2] - v[-1]) // 2
+        coords[-1] //= 2
+    return tuple(coords)
+
+
+def _to_orthogonal(spec: LieSpec, coords: tuple[int, ...]) -> list[int]:
+    """Orthogonal coordinates of a simple-root vector; inverts ``_from_orthogonal``."""
+    sums = list(coords)  # the partial sums S_k, once the C and D halvings are undone
+    if spec.family == "C":
+        sums[-1] *= 2
+    elif spec.family == "D":
+        sums[-2:] = [coords[-2] + coords[-1], 2 * coords[-1]]
+    return [b - a for a, b in zip([0] + sums, sums)]
+
+
 def weight_of_root_vector(spec: LieSpec, coords: tuple[int, ...]) -> tuple[int, ...]:
     """Fundamental-weight coordinates of an integer root-lattice vector."""
     c = cartan_matrix(spec)
@@ -81,9 +107,7 @@ def root_coords_of_weight_vector(
     matrix is (C^-1)_ik = min(i, k) - ik/(n+1), applied through prefix sums.
     For B, C and D the weight sum_k w_k varpi_k is written in orthogonal
     coordinates v (Bourbaki, Plates II-IV: varpi_k = e_1 + ... + e_k, the
-    spin weights halved) and then summed as in looproot's
-    ``_from_orthogonal``: b_k = v_1 + ... + v_k, the C tail halved and the D
-    tail (S_{n-1} - v_n)/2, S_n/2.
+    spin weights halved) and then passed through ``_from_orthogonal``.
     """
     n = spec.rank
     w = weight_coords
@@ -97,26 +121,20 @@ def root_coords_of_weight_vector(
             Fraction((n + 1) * (weighted[i - 1] + i * tails[i]) - i * weighted[-1], n + 1)
             for i in range(1, n + 1)
         )
-    # v2 = 2v. Nodes below chain_end have varpi_k = e_1 + ... + e_k; the rest
+    # v4 = 4v. Nodes below chain_end have varpi_k = e_1 + ... + e_k; the rest
     # are spin weights, each half of e_1 + ... + e_n (D's varpi_{n-1} with -e_n).
+    # 4v is integral with even partial sums, so the tail halvings are exact.
     chain_end = {"B": n - 1, "C": n, "D": n - 2}[spec.family]
     spin = w[chain_end:]
-    head = 2 * sum(w[:chain_end]) + sum(spin)
-    v2 = []
+    head = 4 * sum(w[:chain_end]) + 2 * sum(spin)
+    v4 = []
     for j in range(n):
-        v2.append(head)
+        v4.append(head)
         if j < chain_end:
-            head -= 2 * w[j]
+            head -= 4 * w[j]
     if spec.family == "D":
-        v2[-1] = spin[1] - spin[0]
-    sums2 = list(accumulate(v2))  # 2 S_k
-    scaled = [2 * x for x in sums2]  # 4 b_k
-    if spec.family == "C":
-        scaled[-1] = sums2[-1]
-    elif spec.family == "D":
-        scaled[-2] = sums2[-2] - v2[-1]
-        scaled[-1] = sums2[-1]
-    return tuple(Fraction(x, 4) for x in scaled)
+        v4[-1] = 2 * (spin[1] - spin[0])
+    return tuple(Fraction(x, 4) for x in _from_orthogonal(spec, v4))
 
 
 def integer_root_coords(

@@ -8,45 +8,22 @@ lemma verified here is what makes that bound work.
 
 Every root is first written as an integer vector in the orthogonal basis
 e_1, ..., e_n of Bourbaki's realization (Lie Groups and Lie Algebras, Ch. VI,
-Plates II-IV) and then moved to simple-root coordinates by one converter,
-``_from_orthogonal``: partial sums, with the tail halved for C and D.
+Plates II-IV) and then moved to simple-root coordinates by the one converter
+of that realization, ``lie._from_orthogonal``: partial sums, with the tail
+halved for C and D. ``cone_membership`` reads its input back through the
+inverse, ``lie._to_orthogonal``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import chain
 from operator import add, mul
 
+from . import lie
 from .lie import LieSpec, adjacency, cartan_matrix, weight_of_root_vector
 from .partitions import RootLatticeElement
-
-
-def _from_orthogonal(spec: LieSpec, v: list[int]) -> RootLatticeElement:
-    """Simple-root coordinates of sum_i v_i e_i (Bourbaki's realization).
-
-    Coordinate k is the partial sum S_k = v_1 + ... + v_k; for C the last one
-    is halved (alpha_n = 2e_n), for D the last two are (S_{n-1} - v_n)/2 and
-    S_n/2 (alpha_{n-1}, alpha_n = e_{n-1} -+ e_n).
-    """
-    coords = list(accumulate(v))
-    if spec.family == "C":
-        coords[-1] //= 2
-    elif spec.family == "D":
-        coords[-2] = (coords[-2] - v[-1]) // 2
-        coords[-1] //= 2
-    return RootLatticeElement(tuple(coords), spec.rank)
-
-
-def _epsilon(spec: LieSpec, coords: tuple[int, ...]) -> list[int]:
-    """Orthogonal coordinates of a simple-root vector; inverts ``_from_orthogonal``."""
-    sums = list(coords)  # the partial sums S_k, once the C and D halvings are undone
-    if spec.family == "C":
-        sums[-1] *= 2
-    elif spec.family == "D":
-        sums[-2:] = [coords[-2] + coords[-1], 2 * coords[-1]]
-    return [b - a for a, b in zip([0] + sums, sums)]
 
 
 def _orthogonal(n: int, *signed: int) -> list[int]:
@@ -62,7 +39,7 @@ def positive_roots(spec: LieSpec) -> frozenset[RootLatticeElement]:
     """All positive roots in simple-root coordinates.
 
     Built as the orthogonal vectors e_i - e_j and e_i + e_j (i < j), plus e_i
-    for B or 2e_i for C, each passed through ``_from_orthogonal``: n^2 roots
+    for B or 2e_i for C, each passed through ``lie._from_orthogonal``: n^2 roots
     for B/C and n^2 - n for D.
     """
     if spec.family not in ("B", "C", "D"):
@@ -74,7 +51,7 @@ def positive_roots(spec: LieSpec) -> frozenset[RootLatticeElement]:
         vectors += [_orthogonal(n, i) for i in range(1, n + 1)]
     elif spec.family == "C":
         vectors += [_orthogonal(n, i, i) for i in range(1, n + 1)]
-    result = frozenset(_from_orthogonal(spec, v) for v in vectors)
+    result = frozenset(RootLatticeElement(lie._from_orthogonal(spec, v), n) for v in vectors)
     expected = n * n if spec.family in ("B", "C") else n * n - n
     assert len(result) == expected, (spec, len(result), expected)
     return result
@@ -124,7 +101,10 @@ def beta_roots(spec: LieSpec) -> BetaSet:
     l_max = spec.rank - 2 if spec.family == "D" else spec.rank - 1
     gap = 0 if spec.family == "C" else 1
     labels = tuple((k, l) for k in range(1, l_max + 1) for l in range(k + gap, l_max + 1))
-    roots = tuple(_from_orthogonal(spec, _orthogonal(spec.rank, k, l)) for k, l in labels)
+    n = spec.rank
+    roots = tuple(
+        RootLatticeElement(lie._from_orthogonal(spec, _orthogonal(n, k, l)), n) for k, l in labels
+    )
     return BetaSet(spec, labels, roots, l_max)
 
 
@@ -186,7 +166,7 @@ def cone_membership(
         raise ValueError(f"rank mismatch: element {diff.rank} vs spec {spec.rank}")
     bset = beta_roots(spec)
     labels = bset.labels
-    eps = [0, *_epsilon(spec, diff.coords)]  # eps[k] is the coefficient of e_k
+    eps = [0, *lie._to_orthogonal(spec, diff.coords)]  # eps[k] is the coefficient of e_k
     if any(x < 0 for x in eps) or any(eps[bset.l_max + 1 :]):
         return []
     if not labels:

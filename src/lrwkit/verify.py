@@ -389,12 +389,15 @@ def _check_closed_form_sweeps() -> CheckResult:
     return _result("closed-form-sweeps", [], bad)
 
 
+# Each Lie family's classical family and its stable-range tag in classical.
+_CLASSICAL_FAMILIES = {"B": ("o", "o_odd"), "C": ("sp", "sp"), "D": ("o", "o_even")}
+
+
 def _fermionic_rectangle_cases() -> list[tuple[str, int, int, int, str]]:
     cases = []
-    for family, fam_tag in (("B", "o"), ("C", "sp"), ("D", "o")):
+    for family, (fam_tag, stable_tag) in _CLASSICAL_FAMILIES.items():
         for m in range(1, 4):
             for ell in range(1, 4):
-                stable_tag = {"B": "o_odd", "C": "sp", "D": "o_even"}[family]
                 rank = classical.min_stable_rank(Partition([m] * ell), stable_tag)
                 rank = max(rank, 4 if family == "D" else 2)
                 cases.append((family, rank, m, ell, fam_tag))
@@ -438,23 +441,31 @@ def _check_fermionic_type_a() -> CheckResult:
     return _result("fermionic-type-a-irreducible", [], bad)
 
 
-def _cone_reachable(spec: LieSpec, lam: Partition, mu: Partition) -> list:
+def _root_difference(spec: LieSpec, lam: Partition, mu: Partition) -> tuple[int, ...] | None:
+    """Simple-root coordinates of the weight of lam minus that of mu, if integral."""
     lam_w = weight_from_partition(lam, spec.rank).coeffs
     mu_w = weight_from_partition(mu, spec.rank).coeffs
-    diff = tuple(x - y for x, y in zip(lam_w, mu_w))
-    coords = integer_root_coords(spec, diff)
+    return integer_root_coords(spec, tuple(x - y for x, y in zip(lam_w, mu_w)))
+
+
+def _cone_reachable(spec: LieSpec, lam: Partition, mu: Partition) -> list:
+    coords = _root_difference(spec, lam, mu)
     if coords is None:
         return []
     return looproot.cone_membership(RootLatticeElement(coords, spec.rank), spec)
 
 
-def cone_bridge_failures(limit: int = 2) -> list:
+_CONE_BRIDGE_LIMIT = 2  # the largest a, b, c of the three-row family swept
+
+
+def cone_bridge_failures() -> list:
     """Decomposition components missing a cone witness, over the worked families."""
     bad = []
     spec5 = LieSpec("D", 5)
-    for a in range(limit + 1):
-        for b in range(limit + 1):
-            for c in range(limit + 1):
+    amounts = range(_CONE_BRIDGE_LIMIT + 1)
+    for a in amounts:
+        for b in amounts:
+            for c in amounts:
                 lam = Partition([a + b + c, b + c, c])
                 for mu in classical.family_decomposition(lam, "o").terms:
                     sols = _cone_reachable(spec5, lam, mu)
@@ -482,24 +493,23 @@ def _check_cone_bridge() -> CheckResult:
     return _result("cone-bridge-d5", [], cone_bridge_failures())
 
 
-def type_a_vanishing_failures(max_boxes: int = 6) -> list:
+_TYPE_A_BRIDGE_BOXES = 6  # the largest partition swept by the type-A bridge
+
+
+def type_a_vanishing_failures() -> list:
     """Type-A differences that nevertheless carry a nonzero multiplicity."""
     bad = []
     rank = 6
-    for family, fam_tag in (("B", "o"), ("C", "sp"), ("D", "o")):
+    for family, (fam_tag, stable_tag) in _CLASSICAL_FAMILIES.items():
         spec = LieSpec(family, rank)
-        max_rows = rank - 2 if family == "D" else rank - 1
-        for lam in partitions_up_to(max_boxes):
-            if len(lam) > max_rows:
+        for lam in partitions_up_to(_TYPE_A_BRIDGE_BOXES):
+            if classical.min_stable_rank(lam, stable_tag) > rank:
                 continue
-            lam_w = weight_from_partition(lam, rank).coeffs
             decomp = classical.family_decomposition(lam, fam_tag)
             for mu in partitions_up_to(size(lam)):
-                if mu == lam or len(mu) > max_rows:
+                if mu == lam or classical.min_stable_rank(mu, stable_tag) > rank:
                     continue
-                mu_w = weight_from_partition(mu, rank).coeffs
-                diff = tuple(x - y for x, y in zip(lam_w, mu_w))
-                coords = integer_root_coords(spec, diff)
+                coords = _root_difference(spec, lam, mu)
                 if coords is None or any(x < 0 for x in coords) or not any(coords):
                     continue
                 eta = RootLatticeElement(coords, rank)

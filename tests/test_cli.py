@@ -216,6 +216,14 @@ class TestExitCodes:
             main(["no-such-command"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "option,noun", [("--alpha", "coordinates"), ("--weight", "coefficients")]
+    )
+    def test_roots_cone_wrong_length_is_usage_error(self, capsys, option, noun):
+        code, out, err = run(capsys, "roots", "cone", "D", "5", option, "1,2")
+        assert (code, out) == (2, "")
+        assert err == f"lrwkit: expected 5 {noun}, got 2\n"
+
     def test_usage_error_from_values(self, capsys):
         code, _, err = run(capsys, "lr", "2,1", "1", "x")
         assert code == 2

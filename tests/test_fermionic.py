@@ -15,7 +15,12 @@ from lrwkit.fermionic import (
     fermionic_multiplicity,
     vacancy,
 )
-from lrwkit.lie import LieSpec, cartan_matrix, root_coords_of_weight_vector
+from lrwkit.lie import (
+    LieSpec,
+    cartan_matrix,
+    integer_root_coords,
+    root_coords_of_weight_vector,
+)
 from lrwkit.partitions import DominantWeight, Partition, weight_from_partition
 from lrwkit.schur import mult, schur_basis
 from lrwkit.verify import fermionic_rectangle_agreement
@@ -107,8 +112,9 @@ class TestAlphaCoords:
         spec = LieSpec("C", 2)
         # odd box difference: non-integral solution
         assert alpha_coords(spec, [(2, 1)], w((1, 0), 2)) is None
-        # above the top weight: negative solution
-        assert alpha_coords(spec, [(1, 1)], w((2, 0), 2)) is None
+        # above the top weight: integral but negative solution (-1, -1)
+        assert integer_root_coords(spec, (0, -1)) == (-1, -1)
+        assert alpha_coords(spec, [(1, 1)], w((1, 1), 2)) is None
 
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
@@ -376,6 +382,27 @@ def specs_with_factors(draw):
 def test_sweep_matches_full_box_property(case):
     spec, factors = case
     assert fermionic_decomp(spec, factors) == brute_force_decomp(spec, factors)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(specs_with_factors(), st.data())
+def test_alpha_coords_is_integral_nonnegative_solve(case, data):
+    spec, factors = case
+    rank = spec.rank
+    top = [0] * rank  # the top weight: m varpi_node per factor
+    for m, node in factors:
+        top[node - 1] += m
+    if data.draw(st.booleans()):  # a component, which lies below the top weight
+        components = sorted(fermionic_decomp(spec, factors), key=lambda mu: mu.coeffs)
+        lam = data.draw(st.sampled_from(components))
+    else:
+        lam = w(data.draw(st.lists(st.integers(0, 3), min_size=rank, max_size=rank)), rank)
+    solve = integer_root_coords(spec, tuple(t - x for t, x in zip(top, lam.coeffs)))
+    got = alpha_coords(spec, factors, lam)
+    if solve is None or any(x < 0 for x in solve):
+        assert got is None
+    else:
+        assert got == solve
 
 
 FAMILY_TAGS = {"B": ("o", "o_odd"), "C": ("sp", "sp"), "D": ("o", "o_even")}

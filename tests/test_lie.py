@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lrwkit import lie
 from lrwkit.lie import (
     LieSpec,
     cartan_matrix,
     integer_root_coords,
     root_coords_of_weight_vector,
 )
+from lrwkit.looproot import beta_roots
 
 
 def solve_fractions(matrix, rhs):
@@ -76,3 +78,34 @@ def test_fundamental_weights(family):
 def test_length_mismatch():
     with pytest.raises(ValueError):
         root_coords_of_weight_vector(LieSpec("B", 3), (1, 0))
+
+
+def positive_root_vectors(spec):
+    """Bourbaki's positive roots of B/C/D as orthogonal vectors, listed directly."""
+    n = spec.rank
+    unit = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    vectors = [
+        tuple(a + sign * b for a, b in zip(unit[i], unit[j]))
+        for i in range(n)
+        for j in range(i + 1, n)
+        for sign in (1, -1)
+    ]
+    if spec.family == "B":
+        vectors += unit
+    elif spec.family == "C":
+        vectors += [tuple(2 * x for x in e) for e in unit]
+    return vectors
+
+
+@pytest.mark.parametrize("family", "BCD")
+def test_orthogonal_round_trip(family):
+    # the distinguished roots e_k + e_l (and C's 2e_l) are among the positive roots
+    for rank in range(4 if family == "D" else 2, 13):
+        spec = LieSpec(family, rank)
+        for v in positive_root_vectors(spec):
+            coords = lie._from_orthogonal(spec, list(v))
+            assert all(x >= 0 for x in coords) and any(coords)
+            assert tuple(lie._to_orthogonal(spec, coords)) == v
+        for beta in beta_roots(spec).roots:
+            v = lie._to_orthogonal(spec, beta.coords)
+            assert lie._from_orthogonal(spec, v) == beta.coords
