@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 resource cap
 exceeded. Enumeration-heavy commands refuse inputs larger than the box cap
 (--max-boxes, config key "max_boxes", or LRWKIT_MAX_BOXES; default 10)
-instead of hanging, and ``roots commute`` refuses ranks whose pairs of
-distinguished roots exceed COMMUTE_MAX_PAIRS.
+instead of hanging; ``roots commute`` refuses ranks whose pairs of
+distinguished roots exceed COMMUTE_MAX_PAIRS, and ``roots beta`` ranks whose
+roots have more than BETA_MAX_COORDS coordinates in all.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ DEFAULT_MAX_BOXES = 10
 # The commutation check scans every ordered pair of distinguished roots. Near
 # this many pairs it takes about 2 s (rank 79 of D, 77 of C).
 COMMUTE_MAX_PAIRS = 9_000_000
+# ``roots beta`` prints rank coordinates per distinguished root, rank^3/2 in all.
+# Near this many it takes about 2 s (rank 150 of B, C and D).
+BETA_MAX_COORDS = 1_700_000
 
 
 class ResourceCapExceeded(Exception):
@@ -309,6 +313,12 @@ def _cmd_fermionic(args: argparse.Namespace) -> int:
 def _cmd_roots(args: argparse.Namespace) -> int:
     spec = LieSpec(args.family.upper(), args.rank)
     if args.roots_op == "beta":
+        coords = looproot.beta_count(spec) * spec.rank
+        if coords > BETA_MAX_COORDS:
+            raise ResourceCapExceeded(
+                f"distinguished roots at {spec.family} {spec.rank} have {coords:,} "
+                f"coordinates, over the limit of {BETA_MAX_COORDS:,} coordinates"
+            )
         bset = looproot.beta_roots(spec)
         payload = bset.to_jsonable()
         rows = [
@@ -554,8 +564,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RecursionError:
         print(
             "lrwkit: input nests deeper than Python's recursion limit "
-            f"({sys.getrecursionlimit()}): the fermionic searches take one level "
-            "per Dynkin node, so the rank is the limit",
+            f"({sys.getrecursionlimit()}); try a smaller rank or size",
             file=sys.stderr,
         )
         return 3

@@ -10,7 +10,7 @@ The vacancy number at node k and row size n is a sum over the factors on k,
 the parts of nu_k and the parts of each neighbour nu_j, each term a
 min(a*n, b*h) with (a, b) read off the Cartan matrix. Two cached tables make
 it a few reads: ``_min_sums(nu)`` holds s[t] = sum_h min(t, h) for every t up
-to the longest row (|nu| beyond it), and ``_couplings(spec)`` lists each
+to the longest row (|nu| beyond it), and ``lie.couplings(spec)`` lists each
 node's neighbours with their (a, b). A coupling reads s[n] for (1, 1), s[2n]
 for (2, 1), and s[floor(n/2)] + s[ceil(n/2)] for (1, 2), since
 min(n, 2h) = min(floor(n/2), h) + min(ceil(n/2), h).
@@ -29,14 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, floor
+from operator import sub
 from typing import Iterable, Sequence
 
 from .lie import (
     LieSpec,
-    adjacency,
-    cartan_matrix,
+    couplings,
     integer_root_coords,
     root_coords_of_weight_vector,
+    weight_of_root_vector,
 )
 from .partitions import DominantWeight, Partition, partitions_of
 
@@ -81,8 +82,8 @@ def _coerce_factors(factors: FactorList | Iterable[tuple[int, int]]) -> FactorLi
 def _ready_at(spec: LieSpec) -> list[list[int]]:
     """Nodes grouped by the index at which they and all their neighbours are fixed."""
     ready_at: list[list[int]] = [[] for _ in range(spec.rank)]
-    for k, nbrs in enumerate(adjacency(spec)):
-        ready_at[max((k, *nbrs))].append(k)
+    for k, nbrs in enumerate(couplings(spec)):
+        ready_at[max((k, *(j for j, _, _ in nbrs)))].append(k)
     return ready_at
 
 
@@ -111,16 +112,6 @@ def alpha_coords(
     if coords is None or any(x < 0 for x in coords):
         return None
     return coords
-
-
-@lru_cache(maxsize=None)
-def _couplings(spec: LieSpec) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Per node k, one (j, a, b) per neighbour j, with a = -c[k][j] and b = -c[j][k]."""
-    c = cartan_matrix(spec)
-    return tuple(
-        tuple((j, -c[k][j], -c[j][k]) for j in nbrs)
-        for k, nbrs in enumerate(adjacency(spec))
-    )
 
 
 @lru_cache(maxsize=None)
@@ -164,7 +155,7 @@ def vacancy(
     own = _min_sums(nus[k])
     total = sum(min(n, m) for m, l in factors.factors if l == node)
     total -= 2 * own[min(n, len(own) - 1)]
-    for j, a, b in _couplings(spec)[k]:
+    for j, a, b in couplings(spec)[k]:
         s = _min_sums(nus[j])
         top = len(s) - 1
         if b == 2:  # sum min(n, 2h)
@@ -261,7 +252,7 @@ def fermionic_decomp(
     counts the factors of stretched length >= s.
 
     1. p_a(t) is gamma_a times the vacancy number at (a, t/gamma_a): the
-       stretch turns the min(2n, h) and min(n, 2h) couplings of ``_couplings``
+       stretch turns the min(2n, h) and min(n, 2h) couplings of ``couplings``
        into min(t, h) = sum_{s<=t} [h >= s] weighted by the Cartan entry.
     2. p >= 0 at every t is the node-factor check: past a node's longest row
        p cannot fall, and at an odd t on a stretched node p is at least the
@@ -280,7 +271,7 @@ def fermionic_decomp(
     long_nodes = {"B": range(rank - 1), "C": (rank - 1,)}.get(spec.family, ())
     gamma = [2 if a in long_nodes else 1 for a in range(rank)]
     ready_at = _ready_at(spec)
-    couplings = _couplings(spec)
+    bonds = couplings(spec)
     longest = max(gamma[node - 1] * m for m, node in factors.factors)
     grown = [[0] * rank for _ in range(longest + 2)]  # grown[t][a] = f_t at node a
     for m, node in factors.factors:
@@ -305,7 +296,7 @@ def fermionic_decomp(
         for h in (prev,) if t % 2 and gamma[i] == 2 else range(prev + 1):
             nxt[i] = h
             for k in ready_at[i]:
-                q[k] = p[k] + f[k] - 2 * nxt[k] + sum(a * nxt[j] for j, a, _ in couplings[k])
+                q[k] = p[k] + f[k] - 2 * nxt[k] + sum(a * nxt[j] for j, a, _ in bonds[k])
                 if q[k] < 0:
                     break
             else:
@@ -316,11 +307,7 @@ def fermionic_decomp(
         t, p, col, total, acc = stack.pop()
         f = grown[min(t + 1, longest + 1)]
         pick(0, acc)
-    result: dict[DominantWeight, int] = {}
-    for n in sorted(sums):
-        lam = [
-            w - 2 * n[k] + sum(b * n[j] for j, _, b in couplings[k])
-            for k, w in enumerate(top.coeffs)
-        ]
-        result[DominantWeight(tuple(lam), rank)] = sums[n]
-    return result
+    return {
+        DominantWeight(tuple(map(sub, top.coeffs, weight_of_root_vector(spec, n))), rank): sums[n]
+        for n in sorted(sums)
+    }

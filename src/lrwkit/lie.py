@@ -5,6 +5,9 @@ root against the j-th coroot, so a root vector b has fundamental-weight
 coordinates w_k = sum_i b_i c[i][k]. With this orientation the large-row
 vacancy numbers of the fermionic formula stabilize at the weight coordinates
 of the target, which pins the convention unambiguously.
+
+This module owns the Dynkin data: other modules read the diagram only through
+``couplings``, the cached sparse view of ``cartan_matrix``, and ``MIN_RANK``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-FAMILIES = ("A", "B", "C", "D")
+# D starts at rank 4, where its fork has two end nodes.
+MIN_RANK = {"A": 2, "B": 2, "C": 2, "D": 4}
 
 
 @dataclass(frozen=True)
@@ -25,9 +29,9 @@ class LieSpec:
     rank: int
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        minimum = 4 if self.family == "D" else 2
+        if self.family not in MIN_RANK:
+            raise ValueError(f"family must be one of {tuple(MIN_RANK)}, got {self.family!r}")
+        minimum = MIN_RANK[self.family]
         if self.rank < minimum:
             raise ValueError(
                 f"rank {self.rank} too small for type {self.family} (need >= {minimum})"
@@ -56,12 +60,12 @@ def cartan_matrix(spec: LieSpec) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def adjacency(spec: LieSpec) -> tuple[tuple[int, ...], ...]:
-    """Neighbor lists of the Dynkin diagram, 0-indexed."""
+def couplings(spec: LieSpec) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Per node k, one (j, a, b) per neighbour j, with a = -c[k][j] and b = -c[j][k]."""
     c = cartan_matrix(spec)
-    n = spec.rank
     return tuple(
-        tuple(j for j in range(n) if j != i and c[i][j] != 0) for i in range(n)
+        tuple((j, -x, -c[j][k]) for j, x in enumerate(row) if x and j != k)
+        for k, row in enumerate(c)
     )
 
 
@@ -92,10 +96,13 @@ def _to_orthogonal(spec: LieSpec, coords: tuple[int, ...]) -> list[int]:
 
 
 def weight_of_root_vector(spec: LieSpec, coords: tuple[int, ...]) -> tuple[int, ...]:
-    """Fundamental-weight coordinates of an integer root-lattice vector."""
-    c = cartan_matrix(spec)
-    n = spec.rank
-    return tuple(sum(coords[i] * c[i][k] for i in range(n)) for k in range(n))
+    """Weight coordinates w_k = sum_i x_i c[i][k] = 2 x_k - sum b x_j over k's couplings."""
+    if len(coords) != spec.rank:
+        raise ValueError(f"expected {spec.rank} root coordinates, got {len(coords)}")
+    return tuple(
+        2 * x - sum(b * coords[j] for j, _, b in nbrs)
+        for x, nbrs in zip(coords, couplings(spec))
+    )
 
 
 def root_coords_of_weight_vector(

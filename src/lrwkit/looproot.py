@@ -22,7 +22,7 @@ from itertools import chain
 from operator import add, mul
 
 from . import lie
-from .lie import LieSpec, adjacency, cartan_matrix, weight_of_root_vector
+from .lie import LieSpec, couplings, weight_of_root_vector
 from .partitions import RootLatticeElement
 
 
@@ -122,14 +122,14 @@ def type_a_support(eta: RootLatticeElement, spec: LieSpec) -> bool:
     support = [i for i, x in enumerate(eta.coords) if x != 0]
     if not support:
         raise ValueError("zero element has no support")
-    nbrs = adjacency(spec)
+    bonds = couplings(spec)
     # Steiner closure in a tree: union of the unique paths to a fixed node.
     root = support[0]
     parent: dict[int, int] = {root: root}
     queue = [root]
     while queue:
         u = queue.pop()
-        for v in nbrs[u]:
+        for v, _, _ in bonds[u]:
             if v not in parent:
                 parent[v] = u
                 queue.append(v)
@@ -138,14 +138,10 @@ def type_a_support(eta: RootLatticeElement, spec: LieSpec) -> bool:
         while node != root:
             node = parent[node]
             closed.add(node)
-    c = cartan_matrix(spec)
     for i in closed:
-        inside = [j for j in nbrs[i] if j in closed]
-        if len(inside) > 2:
+        inside = [a * b for j, a, b in bonds[i] if j in closed]
+        if len(inside) > 2 or any(ab != 1 for ab in inside):
             return False
-        for j in inside:
-            if c[i][j] * c[j][i] != 1:
-                return False
     return True
 
 

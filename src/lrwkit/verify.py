@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import classical, closed_forms, fermionic, looproot, schur, tableaux
-from .lie import LieSpec, integer_root_coords, weight_of_root_vector
+from .lie import MIN_RANK, LieSpec, integer_root_coords, weight_of_root_vector
 from .partitions import (
     DominantWeight,
     Partition,
@@ -228,9 +228,7 @@ def _check_beta_count_stability() -> CheckResult:
 def _commute_violation_total(ranks: range) -> int:
     total = 0
     for family in ("B", "C", "D"):
-        for rank in ranks:
-            if family == "D" and rank < 4:
-                continue
+        for rank in [r for r in ranks if r >= MIN_RANK[family]]:
             report = looproot.commute_check(LieSpec(family, rank))
             total += (
                 len(report["pair_sum_violations"])
@@ -399,7 +397,7 @@ def _fermionic_rectangle_cases() -> list[tuple[str, int, int, int, str]]:
         for m in range(1, 4):
             for ell in range(1, 4):
                 rank = classical.min_stable_rank(Partition([m] * ell), stable_tag)
-                rank = max(rank, 4 if family == "D" else 2)
+                rank = max(rank, MIN_RANK[family])
                 cases.append((family, rank, m, ell, fam_tag))
     return cases
 

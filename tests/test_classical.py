@@ -237,10 +237,6 @@ class TestFamilyDecomposition:
         result = verify._check_containment_suite()
         assert result.passed, (result.expected, result.actual)
 
-    def test_containment_exhaustive(self):
-        result = verify._check_containment_suite()
-        assert result.passed, (result.expected, result.actual)
-
     def test_serialization_order(self):
         decomp = family_decomposition(Partition([3, 2, 1]), ORTHOGONAL)
         payload = decomp.to_jsonable()

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from lrwkit import looproot
-from lrwkit.cli import COMMUTE_MAX_PAIRS, main, parse_partition, parse_weight
+from lrwkit.cli import BETA_MAX_COORDS, COMMUTE_MAX_PAIRS, main, parse_partition, parse_weight
 from lrwkit.lie import LieSpec
 from lrwkit.looproot import beta_roots
 from lrwkit.partitions import DominantWeight, Partition
@@ -180,22 +180,38 @@ class TestCommands:
         assert len(lines) == 6
 
 
+def run_near_recursion_limit(capsys, *argv):
+    # a limit just above the current depth stands in for an input that nests
+    # near the default limit of 1000
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        return run(capsys, *argv)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("extra", [[], ["--weight", "0@rank=150"]], ids=["decomp", "weight"])
     def test_recursion_limit_exits_3(self, capsys, extra):
-        # the fermionic searches nest one frame per Dynkin node; a limit just
-        # above the current depth stands in for a rank near the default 1000
-        depth, frame = 0, sys._getframe()
-        while frame:
-            depth, frame = depth + 1, frame.f_back
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 100)
-        try:
-            code, out, err = run(capsys, "fermionic", "D", "150", "--factor", "1,2", *extra)
-        finally:
-            sys.setrecursionlimit(limit)
+        # the fermionic searches nest one frame per Dynkin node
+        code, out, err = run_near_recursion_limit(
+            capsys, "fermionic", "D", "150", "--factor", "1,2", *extra
+        )
         assert (code, out) == (3, "")
         assert err.startswith("lrwkit: ") and err.count("\n") == 1 and "rank" in err
+
+    def test_recursion_limit_message_names_no_command(self, capsys):
+        # the ballot-filling search nests one frame per box of a one-row skew
+        code, out, err = run_near_recursion_limit(
+            capsys, "--max-boxes", "5000", "schur", "skew", "300", "-"
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("lrwkit: input nests deeper") and err.count("\n") == 1
+        assert "fermionic" not in err
 
     @pytest.mark.parametrize("family,rank", [("D", 1000), ("C", 78), ("B", 79), ("D", 80)])
     def test_commute_pair_cap_exits_3(self, capsys, family, rank):
@@ -210,6 +226,21 @@ class TestExitCodes:
         for family, rank in (("D", 79), ("C", 77), ("B", 78)):
             assert looproot.beta_count(LieSpec(family, rank)) ** 2 <= COMMUTE_MAX_PAIRS
             assert looproot.beta_count(LieSpec(family, rank + 1)) ** 2 > COMMUTE_MAX_PAIRS
+
+    @pytest.mark.parametrize("family,rank", [("D", 1000), ("B", 152), ("C", 151), ("D", 153)])
+    def test_beta_coordinate_cap_exits_3(self, capsys, family, rank):
+        code, out, err = run(capsys, "roots", "beta", family, str(rank))
+        assert (code, out) == (3, "")
+        assert err.startswith("lrwkit: ") and err.count("\n") == 1
+        assert f"over the limit of {BETA_MAX_COORDS:,} coordinates" in err
+
+    def test_beta_coordinate_cap_admits_largest_ranks(self):
+        # the ranks just under the cap answer in about 2 s; the benchmark's
+        # ranks (5 to 9) sit far below it
+        for family, rank in (("B", 151), ("C", 150), ("D", 152)):
+            assert looproot.beta_count(LieSpec(family, rank)) * rank <= BETA_MAX_COORDS
+            spec = LieSpec(family, rank + 1)
+            assert looproot.beta_count(spec) * (rank + 1) > BETA_MAX_COORDS
 
     def test_usage_error_from_argparse(self, capsys):
         with pytest.raises(SystemExit) as err:

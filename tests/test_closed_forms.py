@@ -10,6 +10,13 @@ from lrwkit.closed_forms import (
 from lrwkit.partitions import Partition
 
 
+def test_closed_form_sweeps():
+    # rectangles with m, ell <= 4 in both families, three-row and heights-2/4
+    # shapes with parameters <= 3, each against the general decomposition
+    result = verify._check_closed_form_sweeps()
+    assert result.passed, (result.expected, result.actual)
+
+
 class TestRectangle:
     def test_one_domino_step(self):
         assert closed_form_rectangle(1, 2, "o").terms == {
@@ -29,12 +36,6 @@ class TestRectangle:
             closed_form_rectangle(0, 1, "o")
         with pytest.raises(ValueError):
             closed_form_rectangle(1, 1, "garbage")
-
-    @pytest.mark.parametrize("family", ["sp", "o"])
-    def test_matches_general_up_to_4(self, family):
-        # one sweep covers every m, ell <= 4 in both families
-        result = verify._check_closed_form_sweeps()
-        assert result.passed, (result.expected, result.actual)
 
 
 class TestThreeRow:
@@ -57,10 +58,6 @@ class TestThreeRow:
         want = family_decomposition(Partition([4, 2, 1]), "o")
         assert got.terms == want.terms
 
-    def test_matches_general_up_to_3(self):
-        result = verify._check_closed_form_sweeps()
-        assert result.passed, (result.expected, result.actual)
-
 
 class TestHeights24:
     def test_multiplicity_two(self):
@@ -72,7 +69,3 @@ class TestHeights24:
         got = closed_form_heights24(0, 1)
         want = family_decomposition(Partition([1, 1, 1, 1]), "o")
         assert got.terms == want.terms
-
-    def test_matches_general_up_to_3(self):
-        result = verify._check_closed_form_sweeps()
-        assert result.passed, (result.expected, result.actual)

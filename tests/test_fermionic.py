@@ -16,6 +16,7 @@ from lrwkit.fermionic import (
     vacancy,
 )
 from lrwkit.lie import (
+    MIN_RANK,
     LieSpec,
     cartan_matrix,
     integer_root_coords,
@@ -23,7 +24,7 @@ from lrwkit.lie import (
 )
 from lrwkit.partitions import DominantWeight, Partition, weight_from_partition
 from lrwkit.schur import mult, schur_basis
-from lrwkit.verify import fermionic_rectangle_agreement
+from lrwkit.verify import _CLASSICAL_FAMILIES, fermionic_rectangle_agreement
 
 
 def w(coeffs, rank):
@@ -70,7 +71,7 @@ class TestLieSpec:
     def test_root_coords_solve_back(self, family):
         # w_k = sum_i x_i c[i][k] must give the weight back exactly
         rng = random.Random(family)
-        for rank in range(4 if family == "D" else 2, 41):
+        for rank in range(MIN_RANK[family], 41):
             spec = LieSpec(family, rank)
             c = cartan_matrix(spec)
             for _ in range(3):
@@ -197,7 +198,7 @@ def random_partition(rng, size_max, part_max):
 
 def random_configuration(rng):
     family = rng.choice("ABCD")
-    spec = LieSpec(family, rng.randint(4 if family == "D" else 2, 5))
+    spec = LieSpec(family, rng.randint(MIN_RANK[family], 5))
     factors = [
         (rng.randint(1, 4), rng.randint(1, spec.rank)) for _ in range(rng.randint(1, 3))
     ]
@@ -365,7 +366,7 @@ def test_pruned_scan_matches_full_box(family, rank, factors):
 @st.composite
 def specs_with_factors(draw):
     family = draw(st.sampled_from("ABCD"))
-    spec = LieSpec(family, draw(st.integers(4 if family == "D" else 2, 5)))
+    spec = LieSpec(family, draw(st.integers(MIN_RANK[family], 5)))
     budget, factors = 7, []  # sum of m * node stays <= 7
     for _ in range(draw(st.integers(1, 3))):
         node = draw(st.integers(1, min(spec.rank, budget)))
@@ -405,13 +406,10 @@ def test_alpha_coords_is_integral_nonnegative_solve(case, data):
         assert got == solve
 
 
-FAMILY_TAGS = {"B": ("o", "o_odd"), "C": ("sp", "sp"), "D": ("o", "o_even")}
-
-
 def stable_rank(family, stable_tag, m, rows):
     # the minimal stable rank of an m^rows rectangle, raised to the family's smallest rank
     rank = min_stable_rank(Partition([m] * rows), stable_tag)
-    return max(rank, 4 if family == "D" else 2)
+    return max(rank, MIN_RANK[family])
 
 
 PRODUCT_RECTANGLES = ((1,), (2,), (3,), (1, 1), (2, 2), (1, 1, 1))
@@ -426,7 +424,7 @@ PRODUCT_RECTANGLES = ((1,), (2,), (3,), (1, 1), (2, 2), (1, 1, 1))
 def test_two_factor_decomp_matches_family_products(family, r1, r2):
     # at a stable rank the tensor product of the two KR modules is
     # sum_nu c^nu_{R1 R2} * (family member of nu): an oracle with no fermionic code
-    fam_tag, stable_tag = FAMILY_TAGS[family]
+    fam_tag, stable_tag = _CLASSICAL_FAMILIES[family]
     rank = stable_rank(family, stable_tag, max(r1[0], r2[0]), len(r1) + len(r2))
     want = {}
     for nu, c in mult(schur_basis(r1), schur_basis(r2)).terms.items():
@@ -441,7 +439,7 @@ def rectangle_cases():
     # every m x ell rectangle with sides <= 4 at the minimal stable rank and,
     # for at most four boxes, one rank above it
     cases = []
-    for family, (fam_tag, stable_tag) in FAMILY_TAGS.items():
+    for family, (fam_tag, stable_tag) in _CLASSICAL_FAMILIES.items():
         for m in range(1, 5):
             for ell in range(1, 5):
                 rank = stable_rank(family, stable_tag, m, ell)

@@ -5,10 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from lrwkit import lie
 from lrwkit.lie import (
+    MIN_RANK,
     LieSpec,
     cartan_matrix,
+    couplings,
     integer_root_coords,
     root_coords_of_weight_vector,
+    weight_of_root_vector,
 )
 from lrwkit.looproot import beta_roots
 
@@ -42,7 +45,7 @@ def root_coords_oracle(spec, weight):
 @st.composite
 def weights(draw):
     family = draw(st.sampled_from("ABCD"))
-    rank = draw(st.integers(4 if family == "D" else 2, 12))
+    rank = draw(st.integers(MIN_RANK[family], 12))
     weight = draw(st.lists(st.integers(-9, 9), min_size=rank, max_size=rank))
     return LieSpec(family, rank), tuple(weight)
 
@@ -68,7 +71,7 @@ def test_closed_form_matches_elimination(case):
 @pytest.mark.parametrize("family", "ABCD")
 def test_fundamental_weights(family):
     # each fundamental weight, the column of C^-1 that carries the denominators
-    for rank in range(4 if family == "D" else 2, 13):
+    for rank in range(MIN_RANK[family], 13):
         spec = LieSpec(family, rank)
         for k in range(rank):
             weight = tuple(int(i == k) for i in range(rank))
@@ -100,7 +103,7 @@ def positive_root_vectors(spec):
 @pytest.mark.parametrize("family", "BCD")
 def test_orthogonal_round_trip(family):
     # the distinguished roots e_k + e_l (and C's 2e_l) are among the positive roots
-    for rank in range(4 if family == "D" else 2, 13):
+    for rank in range(MIN_RANK[family], 13):
         spec = LieSpec(family, rank)
         for v in positive_root_vectors(spec):
             coords = lie._from_orthogonal(spec, list(v))
@@ -109,3 +112,33 @@ def test_orthogonal_round_trip(family):
         for beta in beta_roots(spec).roots:
             v = lie._to_orthogonal(spec, beta.coords)
             assert lie._from_orthogonal(spec, v) == beta.coords
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(weights())
+def test_weight_of_root_vector_matches_dense_sum(case):
+    spec, x = case  # any integer vector, read here as root coordinates
+    c = cartan_matrix(spec)
+    n = spec.rank
+    dense = tuple(sum(x[i] * c[i][k] for i in range(n)) for k in range(n))
+    assert weight_of_root_vector(spec, x) == dense
+
+
+@pytest.mark.parametrize("coords", [(1, 0), (1, 0, 0, 0)], ids=["short", "long"])
+def test_weight_of_root_vector_length_mismatch(coords):
+    with pytest.raises(ValueError, match="expected 3 root coordinates"):
+        weight_of_root_vector(LieSpec("C", 3), coords)
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_couplings_list_each_off_diagonal_entry_once(family):
+    for rank in range(MIN_RANK[family], 13):
+        spec = LieSpec(family, rank)
+        c = cartan_matrix(spec)
+        entries = [(k, j, a, b) for k, nbrs in enumerate(couplings(spec)) for j, a, b in nbrs]
+        off_diagonal = {
+            (k, j): -c[k][j] for k in range(rank) for j in range(rank) if j != k and c[k][j]
+        }
+        assert len(entries) == len(off_diagonal)
+        assert {(k, j): a for k, j, a, _ in entries} == off_diagonal
+        assert all(b == -c[j][k] for k, j, _, b in entries)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from lrwkit import looproot, verify
-from lrwkit.lie import LieSpec, cartan_matrix, integer_root_coords
+from lrwkit.lie import MIN_RANK, LieSpec, cartan_matrix, integer_root_coords
 from lrwkit.looproot import (
     beta_roots,
     commute_check,
@@ -146,7 +146,7 @@ class TestPositiveRoots:
 
     @pytest.mark.parametrize(
         "family,rank",
-        [(f, n) for f in "BCD" for n in range(4 if f == "D" else 2, 12)],
+        [(f, n) for f in "BCD" for n in range(MIN_RANK[f], 12)],
     )
     def test_matches_alpha_string_oracle(self, family, rank):
         spec = LieSpec(family, rank)
@@ -179,7 +179,7 @@ class TestBetaRoots:
 
     def test_membership_in_positive_roots(self):
         for family in ("B", "C", "D"):
-            for rank in range(4 if family == "D" else 2, 9):
+            for rank in range(MIN_RANK[family], 9):
                 spec = LieSpec(family, rank)
                 allowed = positive_roots(spec)
                 roots = beta_roots(spec).roots
@@ -276,7 +276,7 @@ class TestConeMembership:
         nonempty = 0
         for _ in range(400):
             family = rng.choice("BCD")
-            spec = LieSpec(family, rng.randint(4 if family == "D" else 2, 6))
+            spec = LieSpec(family, rng.randint(MIN_RANK[family], 6))
             betas = beta_roots(spec).roots
             coords = [0] * spec.rank
             for _ in range(rng.randint(0, 4) if betas else 0):
@@ -299,7 +299,7 @@ class TestCommute:
     @pytest.mark.parametrize("family", ["B", "C", "D"])
     @pytest.mark.parametrize("rank", list(range(3, 13)))
     def test_zero_violations(self, family, rank):
-        if family == "D" and rank < 4:
+        if rank < MIN_RANK[family]:
             pytest.skip("D starts at rank 4")
         spec = LieSpec(family, rank)
         report = commute_check(spec)
@@ -391,7 +391,7 @@ class TestCommute:
 
     def test_beta_count(self):
         for family in "BCD":
-            for rank in range(4 if family == "D" else 2, 30):
+            for rank in range(MIN_RANK[family], 30):
                 spec = LieSpec(family, rank)
                 assert looproot.beta_count(spec) == len(beta_roots(spec).roots)
 
