@@ -1,6 +1,5 @@
 import pytest
 
-from lrwkit import verify
 from lrwkit.classical import family_decomposition
 from lrwkit.closed_forms import (
     closed_form_heights24,
@@ -8,13 +7,6 @@ from lrwkit.closed_forms import (
     closed_form_three_row,
 )
 from lrwkit.partitions import Partition
-
-
-def test_closed_form_sweeps():
-    # rectangles with m, ell <= 4 in both families, three-row and heights-2/4
-    # shapes with parameters <= 3, each against the general decomposition
-    result = verify._check_closed_form_sweeps()
-    assert result.passed, (result.expected, result.actual)
 
 
 class TestRectangle:
@@ -37,6 +29,17 @@ class TestRectangle:
         with pytest.raises(ValueError):
             closed_form_rectangle(1, 1, "garbage")
 
+    @pytest.mark.parametrize("family", ["sp", "o"])
+    def test_matches_general_up_to_4(self, family):
+        bad = [
+            (m, ell)
+            for m in range(1, 5)
+            for ell in range(1, 5)
+            if closed_form_rectangle(m, ell, family).terms
+            != family_decomposition(Partition([m] * ell), family).terms
+        ]
+        assert bad == []
+
 
 class TestThreeRow:
     def test_six_components(self):
@@ -58,6 +61,17 @@ class TestThreeRow:
         want = family_decomposition(Partition([4, 2, 1]), "o")
         assert got.terms == want.terms
 
+    def test_matches_general_up_to_3(self):
+        bad = [
+            (a, b, c)
+            for a in range(4)
+            for b in range(4)
+            for c in range(4)
+            if closed_form_three_row(a, b, c).terms
+            != family_decomposition(Partition([a + b + c, b + c, c]), "o").terms
+        ]
+        assert bad == []
+
 
 class TestHeights24:
     def test_multiplicity_two(self):
@@ -69,3 +83,13 @@ class TestHeights24:
         got = closed_form_heights24(0, 1)
         want = family_decomposition(Partition([1, 1, 1, 1]), "o")
         assert got.terms == want.terms
+
+    def test_matches_general_up_to_3(self):
+        bad = [
+            (a, b)
+            for a in range(4)
+            for b in range(4)
+            if closed_form_heights24(a, b).terms
+            != family_decomposition(Partition([a + b, a + b, b, b]), "o").terms
+        ]
+        assert bad == []
