@@ -1,19 +1,20 @@
 """Command-line surface: JSON-lines output, TSV tables, and the verify suite.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 resource cap
-exceeded. Enumeration-heavy commands refuse inputs larger than the box cap
-(--max-boxes, config key "max_boxes", or LRWKIT_MAX_BOXES; default 10)
-instead of hanging; ``roots commute`` refuses ranks whose pairs of
-distinguished roots exceed COMMUTE_MAX_PAIRS, and ``roots beta`` ranks whose
-roots have more than BETA_MAX_COORDS coordinates in all.
+exceeded. The two global options are the only settings: ``--max-boxes``
+(default 10) and ``--format`` (json or tsv). Enumeration-heavy commands refuse
+inputs larger than the box cap instead of hanging; ``roots commute`` refuses
+ranks whose pairs of distinguished roots exceed COMMUTE_MAX_PAIRS, ``roots
+beta`` ranks whose roots have more than BETA_MAX_COORDS coordinates in all,
+and ``roots cone`` answers whose solutions times labels pass that same budget.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from itertools import islice
 from typing import Sequence
 
 from . import classical, fermionic, looproot, schur, verify
@@ -34,7 +35,8 @@ DEFAULT_MAX_BOXES = 10
 # this many pairs it takes about 2 s (rank 79 of D, 77 of C).
 COMMUTE_MAX_PAIRS = 9_000_000
 # ``roots beta`` prints rank coordinates per distinguished root, rank^3/2 in all.
-# Near this many it takes about 2 s (rank 150 of B, C and D).
+# Near this many it takes about 2 s (rank 150 of B, C and D). ``roots cone``
+# spends the same budget on solutions times labels.
 BETA_MAX_COORDS = 1_700_000
 
 
@@ -109,8 +111,13 @@ def _check_cap(boxes: int, cap: int, what: str) -> None:
         )
 
 
+def _check_limit(amount: int, limit: int, unit: str, what: str) -> None:
+    if amount > limit:
+        raise ResourceCapExceeded(f"{what} {amount:,} {unit}, over the limit of {limit:,} {unit}")
+
+
 def _emit(args: argparse.Namespace, payload: dict, rows: list[list]) -> None:
-    if args.resolved_format == "tsv":
+    if args.format == "tsv":
         for row in rows:
             print("\t".join(str(cell) for cell in row))
     else:
@@ -167,7 +174,7 @@ def _cmd_part(args: argparse.Namespace) -> int:
 
 
 def _cmd_schur(args: argparse.Namespace) -> int:
-    cap = args.resolved_max_boxes
+    cap = args.max_boxes
     if args.schur_op == "mult":
         a = parse_partition(args.a)
         b = parse_partition(args.b)
@@ -207,7 +214,7 @@ def _cmd_lr(args: argparse.Namespace) -> int:
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
     nu = parse_partition(args.nu)
-    _check_cap(size(lam), args.resolved_max_boxes, "coefficient")
+    _check_cap(size(lam), args.max_boxes, "coefficient")
     from .tableaux import lr_coefficient
 
     c = lr_coefficient(lam, mu, nu)
@@ -219,7 +226,7 @@ def _cmd_lr(args: argparse.Namespace) -> int:
 def _cmd_branch(args: argparse.Namespace) -> int:
     lam = parse_partition(args.lam)
     target = _family_tag(args.target)
-    _check_cap(size(lam), args.resolved_max_boxes, "restriction")
+    _check_cap(size(lam), args.max_boxes, "restriction")
     result = classical.branch_schur(lam, target)
     payload = {"lam": list(lam), "target": target, "result": result.to_jsonable()}
     _emit(args, payload, _expansion_rows(result))
@@ -230,7 +237,7 @@ def _cmd_dcoef(args: argparse.Namespace) -> int:
     mu = parse_partition(args.mu)
     nu = parse_partition(args.nu)
     family = _family_tag(args.family)
-    _check_cap(size(mu) + size(nu), args.resolved_max_boxes, "tensor expansion")
+    _check_cap(size(mu) + size(nu), args.max_boxes, "tensor expansion")
     expansion = classical.stable_tensor_expansion(mu, nu, family)
     if args.lam is not None:
         lam = parse_partition(args.lam)
@@ -249,7 +256,7 @@ def _cmd_dcoef(args: argparse.Namespace) -> int:
 def _cmd_wdecomp(args: argparse.Namespace) -> int:
     lam = parse_partition(args.lam)
     family = _family_tag(args.family)
-    _check_cap(size(lam), args.resolved_max_boxes, "decomposition")
+    _check_cap(size(lam), args.max_boxes, "decomposition")
     decomp = classical.family_decomposition(lam, family)
     payload = decomp.to_jsonable()
     rows = [[_partition_str(p), m] for p, m in decomp.sorted_terms()]
@@ -261,7 +268,7 @@ def _cmd_wtensor(args: argparse.Namespace) -> int:
     mu = parse_partition(args.mu)
     nu = parse_partition(args.nu)
     family = _family_tag(args.family)
-    _check_cap(size(mu) + size(nu), args.resolved_max_boxes, "tensor check")
+    _check_cap(size(mu) + size(nu), args.max_boxes, "tensor check")
     lhs, rhs = classical.tensor_product_two_ways(mu, nu, family)
     payload = {
         "mu": list(mu),
@@ -282,29 +289,17 @@ def _cmd_fermionic(args: argparse.Namespace) -> int:
     spec = LieSpec(args.family.upper(), args.rank)
     factors = [parse_factor(f) for f in args.factor]
     boxes = sum(m * node for m, node in factors)
-    _check_cap(boxes, args.resolved_max_boxes, "configuration sum")
+    _check_cap(boxes, args.max_boxes, "factor list")
+    payload = {"family": spec.family, "rank": spec.rank, "factors": [list(f) for f in factors]}
     if args.weight is not None:
         lam = parse_weight(args.weight)
         mult = fermionic.fermionic_multiplicity(spec, factors, lam)
-        payload = {
-            "family": spec.family,
-            "rank": spec.rank,
-            "factors": [list(f) for f in factors],
-            "weight": list(lam.coeffs),
-            "multiplicity": mult,
-        }
+        payload.update(weight=list(lam.coeffs), multiplicity=mult)
         rows = [[",".join(map(str, lam.coeffs)), mult]]
     else:
         decomp = fermionic.fermionic_decomp(spec, factors)
         ordered = sorted(decomp.items(), key=lambda kv: kv[0].coeffs, reverse=True)
-        payload = {
-            "family": spec.family,
-            "rank": spec.rank,
-            "factors": [list(f) for f in factors],
-            "terms": [
-                {"weight": list(w.coeffs), "mult": m} for w, m in ordered
-            ],
-        }
+        payload["terms"] = [{"weight": list(w.coeffs), "mult": m} for w, m in ordered]
         rows = [[",".join(map(str, w.coeffs)), m] for w, m in ordered]
     _emit(args, payload, rows)
     return 0
@@ -312,13 +307,10 @@ def _cmd_fermionic(args: argparse.Namespace) -> int:
 
 def _cmd_roots(args: argparse.Namespace) -> int:
     spec = LieSpec(args.family.upper(), args.rank)
+    where = f"{spec.family} {spec.rank}"
     if args.roots_op == "beta":
         coords = looproot.beta_count(spec) * spec.rank
-        if coords > BETA_MAX_COORDS:
-            raise ResourceCapExceeded(
-                f"distinguished roots at {spec.family} {spec.rank} have {coords:,} "
-                f"coordinates, over the limit of {BETA_MAX_COORDS:,} coordinates"
-            )
+        _check_limit(coords, BETA_MAX_COORDS, "coordinates", f"distinguished roots at {where} have")
         bset = looproot.beta_roots(spec)
         payload = bset.to_jsonable()
         rows = [
@@ -327,22 +319,12 @@ def _cmd_roots(args: argparse.Namespace) -> int:
         ]
     elif args.roots_op == "commute":
         pairs = looproot.beta_count(spec) ** 2
-        if pairs > COMMUTE_MAX_PAIRS:
-            raise ResourceCapExceeded(
-                f"commutation check at {spec.family} {spec.rank} scans {pairs:,} pairs "
-                f"of distinguished roots, over the limit of {COMMUTE_MAX_PAIRS:,} pairs"
-            )
+        _check_limit(pairs, COMMUTE_MAX_PAIRS, "pairs", f"commutation check at {where} scans")
         payload = looproot.commute_check(spec)
-        rows = [
-            ["beta_count", payload["beta_count"]],
-            ["pair_sum_violations", len(payload["pair_sum_violations"])],
-            [
-                "pair_sum_minus_simple_violations",
-                len(payload["pair_sum_minus_simple_violations"]),
-            ],
-            ["lowering_violations", len(payload["lowering_violations"])],
-            ["ok", str(payload["ok"]).lower()],
-        ]
+        rows = [["beta_count", payload["beta_count"]]]
+        for kind in ("pair_sum", "pair_sum_minus_simple", "lowering"):
+            rows.append([f"{kind}_violations", len(payload[f"{kind}_violations"])])
+        rows.append(["ok", str(payload["ok"]).lower()])
     else:  # cone
         if args.alpha is not None:  # RootLatticeElement checks the length
             coords = parse_int_vector(args.alpha)
@@ -362,7 +344,13 @@ def _cmd_roots(args: argparse.Namespace) -> int:
                 _emit(args, payload, [["solutions", 0]])
                 return 0
         diff = RootLatticeElement(coords, spec.rank)
-        sols = looproot.cone_membership(diff, spec)
+        # the answer shares the ``roots beta`` budget: solutions times labels
+        labels = looproot.beta_count(spec)
+        _check_limit(labels, BETA_MAX_COORDS, "coordinates", f"one cone solution at {where} has")
+        walk = looproot._cone_walk(diff, spec)
+        sols = list(islice(walk, BETA_MAX_COORDS // max(labels, 1) + 1))
+        what = f"cone solutions at {where} have at least"
+        _check_limit(len(sols) * labels, BETA_MAX_COORDS, "coordinates", what)
         payload = {
             "family": spec.family,
             "rank": spec.rank,
@@ -376,7 +364,7 @@ def _cmd_roots(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify.run_verify_suite(args.level)
-    if args.resolved_format == "tsv":
+    if args.format == "tsv":
         for check in report.checks:
             print(f"{check.name}\t{'pass' if check.passed else 'fail'}")
         print(f"summary\t{report.passed}/{len(report.checks)}")
@@ -409,15 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-boxes",
         type=int,
-        default=None,
-        help=f"cap on enumeration size in boxes (default {DEFAULT_MAX_BOXES}, "
-        "or LRWKIT_MAX_BOXES)",
+        default=DEFAULT_MAX_BOXES,
+        help=f"cap on enumeration size in boxes (default {DEFAULT_MAX_BOXES})",
     )
     parser.add_argument(
-        "--format", choices=("json", "tsv"), default=None, help="output format"
-    )
-    parser.add_argument(
-        "--config", default=None, help="JSON config file (max_boxes, format)"
+        "--format", choices=("json", "tsv"), default="json", help="output format"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -512,51 +496,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read().strip()
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path!r}: {exc}") from exc
-    if not text:
-        return {}
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"bad config {path!r}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise UsageError(f"config {path!r} must hold a JSON object")
-    return data
-
-
-def _resolve_settings(args: argparse.Namespace) -> None:
-    config = _load_config(args.config)
-    if args.max_boxes is not None:
-        cap = args.max_boxes
-    elif "max_boxes" in config:
-        cap = config["max_boxes"]
-        if type(cap) is not int:  # refuses 3.9, true and "7" alike
-            raise UsageError(f"max_boxes in the config must be an integer, got {cap!r}")
-    elif os.environ.get("LRWKIT_MAX_BOXES"):
-        cap = int(os.environ["LRWKIT_MAX_BOXES"])
-    else:
-        cap = DEFAULT_MAX_BOXES
-    if cap < 0:
-        raise UsageError(f"max_boxes must be nonnegative, got {cap}")
-    fmt = args.format or config.get("format", "json")
-    if fmt not in ("json", "tsv"):
-        raise UsageError(f"format must be json or tsv: {fmt!r}")
-    args.resolved_max_boxes = cap
-    args.resolved_format = fmt
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _resolve_settings(args)
+        if args.max_boxes < 0:
+            raise UsageError(f"max_boxes must be nonnegative, got {args.max_boxes}")
         return args.handler(args)
     except ResourceCapExceeded as exc:
         print(f"lrwkit: {exc}", file=sys.stderr)

@@ -26,6 +26,7 @@ every path is one nonzero configuration; the configuration sum is its oracle.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, floor
@@ -77,6 +78,12 @@ def _coerce_factors(factors: FactorList | Iterable[tuple[int, int]]) -> FactorLi
     if isinstance(factors, FactorList):
         return factors
     return FactorList(tuple(factors))
+
+
+def _check_depth(spec: LieSpec) -> None:
+    """The searches nest one frame per node: refuse deeper ranks before building any table."""
+    if spec.rank >= sys.getrecursionlimit():
+        raise RecursionError(f"rank {spec.rank} reaches the recursion limit")
 
 
 def _ready_at(spec: LieSpec) -> list[list[int]]:
@@ -200,6 +207,7 @@ def _node_factor(
 
 def _config_sum(spec: LieSpec, factors: FactorList, nvec: tuple[int, ...]) -> int:
     """Sum of binomial products over all configurations for fixed coordinates."""
+    _check_depth(spec)
     rank = spec.rank
     ready_at = _ready_at(spec)
     options = [_partitions_list(nvec[k]) for k in range(rank)]
@@ -265,6 +273,7 @@ def fermionic_decomp(
     first column is bounded by the top weight's root coordinates, as n is.
     The result is ordered by n, ascending.
     """
+    _check_depth(spec)
     factors = _coerce_factors(factors)
     rank = spec.rank
     top = factors.top_weight(rank)

@@ -38,9 +38,8 @@ class LieSpec:
             )
 
 
-@lru_cache(maxsize=None)
 def cartan_matrix(spec: LieSpec) -> tuple[tuple[int, ...], ...]:
-    """The rank x rank Cartan matrix of the family."""
+    """The rank x rank Cartan matrix of the family; ``couplings`` caches its sparse view."""
     n = spec.rank
     c = [[0] * n for _ in range(n)]
     for i in range(n):

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from operator import add, mul
+from typing import Iterator
 
 from . import lie
 from .lie import LieSpec, couplings, weight_of_root_vector
@@ -88,6 +89,13 @@ class BetaSet:
         }
 
 
+def _label_range(spec: LieSpec) -> tuple[int, int]:
+    """(l_max, gap): the labels (k, l) run over 1 <= k <= l_max and k + gap <= l <= l_max."""
+    if spec.family not in ("B", "C", "D"):
+        raise ValueError(f"beta roots implemented for B/C/D only: {spec.family}")
+    return spec.rank - 2 if spec.family == "D" else spec.rank - 1, 0 if spec.family == "C" else 1
+
+
 @lru_cache(maxsize=None)
 def beta_roots(spec: LieSpec) -> BetaSet:
     """The distinguished roots in lexicographic label order.
@@ -96,10 +104,7 @@ def beta_roots(spec: LieSpec) -> BetaSet:
     gets every k = l degeneration (the doubled-coordinate roots 2e_l), which
     the commutation lemma requires.
     """
-    if spec.family not in ("B", "C", "D"):
-        raise ValueError(f"beta roots implemented for B/C/D only: {spec.family}")
-    l_max = spec.rank - 2 if spec.family == "D" else spec.rank - 1
-    gap = 0 if spec.family == "C" else 1
+    l_max, gap = _label_range(spec)
     labels = tuple((k, l) for k in range(1, l_max + 1) for l in range(k + gap, l_max + 1))
     n = spec.rank
     roots = tuple(
@@ -150,29 +155,47 @@ def cone_membership(
 ) -> list[tuple[int, ...]]:
     """All nonnegative integer combinations of the distinguished roots equal to diff.
 
+    The full solution list (not just existence) feeds the multiplicity-bound
+    checks, in lexicographic order; see ``_cone_walk`` for the search.
+    Empty means the necessary condition for a nonzero multiplicity fails.
+    """
+    return list(_cone_walk(diff, spec))
+
+
+def _cone_walk(diff: RootLatticeElement, spec: LieSpec) -> Iterator[tuple[int, ...]]:
+    """The solutions of ``cone_membership``, one at a time, in lexicographic order.
+
     The search runs on the orthogonal coordinates of diff: label (k, l) takes
     s units from coordinates k and l (2s from k when k = l), and coordinate k
-    must be used up by its last label. The labels are walked with an explicit
-    stack, so the depth does not grow with the label count. The full solution
-    list (not just existence) feeds the multiplicity-bound checks, in
-    lexicographic order.
-    Empty means the necessary condition for a nonzero multiplicity fails.
+    must be used up by its last label. The walk keeps one amount per label and
+    steps (k, l) along with the label index, so neither the depth nor the
+    memory grows past the label count.
+
+    Coordinates left over once the ones before them are used up can be met by
+    all the roots e_i + e_j (plus 2e_i on C) among them, so they are met
+    exactly when they form the degree sequence of a multigraph (Hakimi 1962):
+    their sum is even and, without the loops 2e_i of C, the largest is at most
+    half the sum. A unit taken keeps the parity, so that is tested once; the
+    half-sum bound before the walk and at the end of every row on B and D.
+    Only branches without a solution are cut, so the order is kept.
     """
     if diff.rank != spec.rank:
         raise ValueError(f"rank mismatch: element {diff.rank} vs spec {spec.rank}")
-    bset = beta_roots(spec)
-    labels = bset.labels
+    l_max, gap = _label_range(spec)
+    loopless = spec.family != "C"
     eps = [0, *lie._to_orthogonal(spec, diff.coords)]  # eps[k] is the coefficient of e_k
-    if any(x < 0 for x in eps) or any(eps[bset.l_max + 1 :]):
-        return []
-    if not labels:
-        return [] if any(eps) else [()]
-    solutions: list[tuple[int, ...]] = []
-    coeffs = [0] * len(labels)
-    last = len(labels) - 1
-    idx, advance = 0, False
+    if any(x < 0 for x in eps) or any(eps[l_max + 1 :]) or sum(eps) % 2:
+        return
+    if loopless and 2 * max(eps) > sum(eps):
+        return
+    count = beta_count(spec)
+    if not count:  # B 2: the half-sum bound left only zeros
+        yield ()
+        return
+    coeffs = [0] * count
+    last = count - 1
+    idx, k, l, advance = 0, 1, 1 + gap, False  # (k, l) is label idx
     while idx >= 0:  # depth-first over labels, amounts ascending: lexicographic
-        k, l = labels[idx]
         if advance:  # take one more unit at this label, or give all back and go up
             if eps[l] and eps[k] > (k == l):
                 eps[k] -= 1
@@ -183,22 +206,29 @@ def cone_membership(
                 eps[l] += coeffs[idx]
                 coeffs[idx] = 0
                 idx -= 1
+                if l > k + gap:
+                    l -= 1
+                else:
+                    k, l = k - 1, l_max
                 continue
-        if l == bset.l_max and eps[k]:  # (k, l_max) is the last label using e_k
+        if l != l_max:
+            idx, l, advance = idx + 1, l + 1, False
+        elif eps[k]:  # (k, l_max) is the last label using e_k
             advance = True
-        elif idx < last:
-            idx, advance = idx + 1, False
-        else:
+        elif idx == last:
             if not any(eps):
-                solutions.append(tuple(coeffs))
+                yield tuple(coeffs)
             advance = True
-    return solutions
+        elif loopless and 2 * max(eps) > sum(eps):  # e_k is used up: can the rest be met?
+            advance = True
+        else:
+            idx, k, l, advance = idx + 1, k + 1, k + 1 + gap, False
 
 
 def beta_count(spec: LieSpec) -> int:
     """The number of distinguished roots, from the label range alone."""
-    l_max = spec.rank - 2 if spec.family == "D" else spec.rank - 1
-    return l_max * (l_max + 1) // 2 if spec.family == "C" else l_max * (l_max - 1) // 2
+    l_max, gap = _label_range(spec)
+    return l_max * (l_max + 1 - 2 * gap) // 2
 
 
 def commute_check(spec: LieSpec) -> dict:

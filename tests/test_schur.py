@@ -2,7 +2,6 @@ from itertools import accumulate
 
 import pytest
 
-from lrwkit import verify
 from lrwkit.partitions import (
     Partition,
     contains,
@@ -232,10 +231,6 @@ class TestJacobiTrudi:
     def test_requires_h_tag(self):
         with pytest.raises(ValueError):
             h_monomial_to_schur(schur_basis([2]))
-
-    def test_roundtrip_up_to_7(self):
-        result = verify._check_jacobi_trudi_roundtrip()
-        assert result.passed, (result.expected, result.actual)
 
 
 class TestSchurPolynomial:
