@@ -64,7 +64,7 @@ print("heights-2-and-4 closed form at (1,1): multiplicity of [1,1] is",
       h24.multiplicity(Partition([1, 1])))
 print()
 
-# Ranks where the universal characters specialize to irreducible ones.
+# Ranks where the universal characters specialize to irreducible ones: type
+# C carries the symplectic family, B and D the orthogonal one.
 print("min stable ranks for [2,1]:",
-      {fam: min_stable_rank(Partition([2, 1]), fam)
-       for fam in ("sp", "o_odd", "o_even")})
+      {lie_type: min_stable_rank(Partition([2, 1]), lie_type) for lie_type in "BCD"})

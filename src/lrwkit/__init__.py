@@ -70,7 +70,6 @@ from .partitions import (
 from .schur import (
     Expansion,
     H_MONOMIAL,
-    IRREDUCIBLE,
     ORTHOGONAL,
     SCHUR,
     SYMPLECTIC,
@@ -103,7 +102,6 @@ __all__ = [
     "FactorList",
     "FamilyDecomposition",
     "H_MONOMIAL",
-    "IRREDUCIBLE",
     "LieSpec",
     "ORTHOGONAL",
     "Partition",

@@ -9,14 +9,12 @@ the Littlewood-Richardson rule are computed from that.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
 from typing import Iterator, Mapping
 
+from .lie import MIN_RANK
 from .partitions import Partition, contains, size
 from .schur import (
-    IRREDUCIBLE,
     ORTHOGONAL,
     SCHUR,
     SYMPLECTIC,
@@ -28,6 +26,9 @@ from .schur import (
 )
 
 FAMILIES = (SYMPLECTIC, ORTHOGONAL)
+# The universal family of each classical Lie type: B_n is SO(2n+1), C_n is
+# Sp(2n) and D_n is SO(2n).
+UNIVERSAL_FAMILY = {"B": ORTHOGONAL, "C": SYMPLECTIC, "D": ORTHOGONAL}
 
 
 def even_column_heights(nu: Partition) -> bool:
@@ -101,7 +102,7 @@ def branch_schur(lam: Partition, target: str) -> Expansion:
     """
     _check_family(target)
     columns = target == SYMPLECTIC
-    return Expansion(_domino_class_sum(lam, columns).terms, target)
+    return Expansion(_domino_class_sum(lam, columns), target)
 
 
 @lru_cache(maxsize=None)
@@ -166,34 +167,32 @@ def stable_tensor_coefficient(
     return stable_tensor_expansion(mu, nu, family).coefficient(lam)
 
 
-@dataclass(frozen=True)
-class FamilyDecomposition:
+class FamilyDecomposition(Expansion):
     """Irreducible decomposition of one member of the tensor-closed family.
 
-    ``terms`` maps each component partition to its positive multiplicity; the
-    top partition always appears with multiplicity 1 and every component fits
-    inside it. It is stored as a read-only copy of the mapping passed in.
+    An `Expansion` in the family's basis, the universal characters of the
+    stable rank, whose top partition appears with multiplicity 1; every
+    multiplicity is positive and every component fits inside the top.
     """
 
-    family: str
-    top: Partition
-    terms: Mapping[Partition, int]
+    __slots__ = ("top",)
 
-    def __post_init__(self) -> None:
-        _check_family(self.family)
-        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
-        if self.terms.get(self.top) != 1:
-            raise ValueError(f"top component {list(self.top)} must have multiplicity 1")
-        for mu, m in self.terms.items():
+    def __init__(self, family: str, top: Partition, terms: Mapping[Partition, int] | Expansion):
+        _check_family(family)
+        top = Partition(top)
+        given = terms.terms if isinstance(terms, Expansion) else terms
+        if given.get(top) != 1:
+            raise ValueError(f"top component {list(top)} must have multiplicity 1")
+        for mu, m in given.items():
             if m <= 0:
                 raise ValueError(f"multiplicities must be positive: {list(mu)}: {m}")
-            if not contains(self.top, mu):
-                raise ValueError(
-                    f"component {list(mu)} does not fit inside top {list(self.top)}"
-                )
+            if not contains(top, mu):
+                raise ValueError(f"component {list(mu)} does not fit inside top {list(top)}")
+        super().__init__(terms, family)
+        object.__setattr__(self, "top", top)
 
-    def multiplicity(self, mu: Partition) -> int:
-        return self.terms.get(Partition(mu), 0)
+    family = Expansion.basis
+    multiplicity = Expansion.coefficient
 
     def sorted_terms(self) -> list[tuple[Partition, int]]:
         """Terms by descending box count, then descending lexicographic."""
@@ -211,9 +210,6 @@ class FamilyDecomposition:
             ],
         }
 
-    def __hash__(self) -> int:
-        return hash((self.family, self.top, frozenset(self.terms.items())))
-
 
 @lru_cache(maxsize=None)
 def family_decomposition(lam: Partition, family: str) -> FamilyDecomposition:
@@ -225,14 +221,13 @@ def family_decomposition(lam: Partition, family: str) -> FamilyDecomposition:
     """
     _check_family(family)
     columns = family == ORTHOGONAL
-    # copy() hands over a plain dict: dict() of a read-only view re-hashes every key
-    return FamilyDecomposition(family, lam, _domino_class_sum(lam, columns).terms.copy())
+    return FamilyDecomposition(family, lam, _domino_class_sum(lam, columns))
 
 
 def tensor_product_two_ways(
     mu: Partition, nu: Partition, family: str
 ) -> tuple[Expansion, Expansion]:
-    """Both sides of the family tensor rule, as irreducible-basis expansions.
+    """Both sides of the family tensor rule, as expansions in the family's basis.
 
     Left: decompose both factors and multiply componentwise with the stable
     tensor coefficients. Right: multiply in the Schur basis and decompose each
@@ -248,18 +243,16 @@ def tensor_product_two_ways(
     rhs: dict[Partition, int] = {}
     for lam, c in mult(schur_basis(mu), schur_basis(nu)).terms.items():
         _accumulate(rhs, family_decomposition(lam, family).terms, c)
-    return Expansion(lhs, IRREDUCIBLE), Expansion(rhs, IRREDUCIBLE)
+    return Expansion(lhs, family), Expansion(rhs, family)
 
 
-def min_stable_rank(lam: Partition, family: str) -> int:
-    """Smallest rank at which the universal character of lam is irreducible.
+def min_stable_rank(lam: Partition, lie_type: str) -> int:
+    """Smallest rank of type B, C or D at which the universal character of lam is irreducible.
 
-    family is one of "sp", "o_odd", "o_even". The empty partition indexes the
-    trivial character, which is irreducible at every rank.
+    The type's family is ``UNIVERSAL_FAMILY[lie_type]``. The character needs
+    rank rows + 1 (rows + 2 on D), and the answer is never below the smallest
+    rank `LieSpec` accepts for the type.
     """
-    if family not in (SYMPLECTIC, "o_odd", "o_even"):
-        raise ValueError(f"family must be 'sp', 'o_odd' or 'o_even': {family!r}")
-    if not lam:
-        return 1
-    rows = len(lam)
-    return rows + 2 if family == "o_even" else rows + 1
+    if lie_type not in UNIVERSAL_FAMILY:
+        raise ValueError(f"type must be one of {tuple(UNIVERSAL_FAMILY)}, got {lie_type!r}")
+    return max(len(lam) + (2 if lie_type == "D" else 1), MIN_RANK[lie_type])

@@ -69,7 +69,7 @@ def closed_form_three_row(a: int, b: int, c: int) -> FamilyDecomposition:
                 c3 = c - s - t
                 mu = Partition([c1 + c2 + c3, c2 + c3, c3])
                 terms[mu] = terms.get(mu, 0) + 1
-    return FamilyDecomposition("o", top, terms)
+    return FamilyDecomposition(ORTHOGONAL, top, terms)
 
 
 def closed_form_heights24(a: int, b: int) -> FamilyDecomposition:
@@ -94,4 +94,4 @@ def closed_form_heights24(a: int, b: int) -> FamilyDecomposition:
                     c2, a - c3, b - c3 - c4, a + b - c1 - c2 - c3 - c4
                 )
                 terms[mu] = mult
-    return FamilyDecomposition("o", top, terms)
+    return FamilyDecomposition(ORTHOGONAL, top, terms)

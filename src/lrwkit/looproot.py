@@ -182,7 +182,7 @@ def _cone_walk(diff: RootLatticeElement, spec: LieSpec) -> Iterator[tuple[int, .
     if diff.rank != spec.rank:
         raise ValueError(f"rank mismatch: element {diff.rank} vs spec {spec.rank}")
     l_max, gap = _label_range(spec)
-    loopless = spec.family != "C"
+    loopless = gap == 1  # gap 0 admits the labels (k, k), the loops 2e_k of C
     eps = [0, *lie._to_orthogonal(spec, diff.coords)]  # eps[k] is the coefficient of e_k
     if any(x < 0 for x in eps) or any(eps[l_max + 1 :]) or sum(eps) % 2:
         return

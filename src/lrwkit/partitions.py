@@ -66,9 +66,6 @@ class DominantWeight:
         if any(c < 0 for c in self.coeffs):
             raise ValueError(f"coefficients must be nonnegative: {self.coeffs}")
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def to_jsonable(self) -> list[int]:
         return list(self.coeffs)
 
@@ -86,9 +83,6 @@ class RootLatticeElement:
             raise ValueError(
                 f"expected {self.rank} coordinates, got {len(self.coords)}"
             )
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
 
     def to_jsonable(self) -> list[int]:
         return list(self.coords)

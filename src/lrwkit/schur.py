@@ -26,27 +26,42 @@ SCHUR = "schur"
 H_MONOMIAL = "h"
 SYMPLECTIC = "sp"
 ORTHOGONAL = "o"
-IRREDUCIBLE = "v"
 
 
 class Expansion:
     """Sparse integer combination of basis elements indexed by partitions.
 
     One value type serves every basis in the library; the tag records which
-    basis the keys refer to. Zero coefficients are never stored. ``terms``
-    is a read-only view, so a cached instance cannot be edited by a caller.
+    basis the keys refer to. Zero coefficients are never stored. An instance
+    is read-only: ``terms`` is a read-only view and assigning or deleting an
+    attribute raises, so a cached instance cannot be edited by a caller.
+    Built from another Expansion, it shares that one's view: the same terms,
+    tagged with another basis.
     """
 
     __slots__ = ("terms", "basis")
 
-    def __init__(self, terms: Mapping[Partition, int] | None = None, basis: str = SCHUR):
-        cleaned: dict[Partition, int] = {}
-        for p, c in (terms or {}).items():
-            c = int(c)
-            if c != 0:
-                cleaned[Partition(p)] = c
-        self.terms = MappingProxyType(cleaned)
-        self.basis = basis
+    def __init__(
+        self, terms: Mapping[Partition, int] | Expansion | None = None, basis: str = SCHUR
+    ):
+        if isinstance(terms, Expansion):  # clean and read-only already
+            view = terms.terms
+        else:
+            cleaned: dict[Partition, int] = {}
+            for p, c in (terms or {}).items():
+                c = int(c)
+                if c != 0:
+                    # a Partition was validated when built, so only other keys are converted
+                    cleaned[p if type(p) is Partition else Partition(p)] = c
+            view = MappingProxyType(cleaned)
+        object.__setattr__(self, "terms", view)
+        object.__setattr__(self, "basis", basis)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot delete {name!r}")
 
     def coefficient(self, p: Partition) -> int:
         return self.terms.get(Partition(p), 0)

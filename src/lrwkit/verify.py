@@ -387,17 +387,12 @@ def _check_closed_form_sweeps() -> CheckResult:
     return _result("closed-form-sweeps", [], bad)
 
 
-# Each Lie family's classical family and its stable-range tag in classical.
-_CLASSICAL_FAMILIES = {"B": ("o", "o_odd"), "C": ("sp", "sp"), "D": ("o", "o_even")}
-
-
 def _fermionic_rectangle_cases() -> list[tuple[str, int, int, int, str]]:
     cases = []
-    for family, (fam_tag, stable_tag) in _CLASSICAL_FAMILIES.items():
+    for family, fam_tag in classical.UNIVERSAL_FAMILY.items():
         for m in range(1, 4):
             for ell in range(1, 4):
-                rank = classical.min_stable_rank(Partition([m] * ell), stable_tag)
-                rank = max(rank, MIN_RANK[family])
+                rank = classical.min_stable_rank(Partition([m] * ell), family)
                 cases.append((family, rank, m, ell, fam_tag))
     return cases
 
@@ -498,14 +493,14 @@ def type_a_vanishing_failures() -> list:
     """Type-A differences that nevertheless carry a nonzero multiplicity."""
     bad = []
     rank = 6
-    for family, (fam_tag, stable_tag) in _CLASSICAL_FAMILIES.items():
+    for family, fam_tag in classical.UNIVERSAL_FAMILY.items():
         spec = LieSpec(family, rank)
         for lam in partitions_up_to(_TYPE_A_BRIDGE_BOXES):
-            if classical.min_stable_rank(lam, stable_tag) > rank:
+            if classical.min_stable_rank(lam, family) > rank:
                 continue
             decomp = classical.family_decomposition(lam, fam_tag)
             for mu in partitions_up_to(size(lam)):
-                if mu == lam or classical.min_stable_rank(mu, stable_tag) > rank:
+                if mu == lam or classical.min_stable_rank(mu, family) > rank:
                     continue
                 coords = _root_difference(spec, lam, mu)
                 if coords is None or any(x < 0 for x in coords) or not any(coords):

@@ -24,7 +24,15 @@ from lrwkit.partitions import (
     size,
     subpartitions,
 )
-from lrwkit.schur import ORTHOGONAL, SYMPLECTIC, Expansion, schur_basis, skew_schur_expand
+from lrwkit.lie import MIN_RANK, LieSpec
+from lrwkit.schur import (
+    ORTHOGONAL,
+    SYMPLECTIC,
+    Expansion,
+    mult,
+    schur_basis,
+    skew_schur_expand,
+)
 
 
 def exp(terms, basis):
@@ -200,6 +208,13 @@ class TestFamilyDecomposition:
             Partition(): 1,
         }
 
+    def test_is_an_expansion_in_its_family_basis(self):
+        for family in FAMILIES:
+            decomp = family_decomposition(Partition([2, 1]), family)
+            assert isinstance(decomp, Expansion)
+            assert decomp.basis == decomp.family == family
+            assert decomp.multiplicity([1]) == decomp.coefficient([1])
+
     def test_type_invariants(self):
         with pytest.raises(ValueError):
             FamilyDecomposition(SYMPLECTIC, Partition([1]), {Partition([1]): 2})
@@ -207,6 +222,15 @@ class TestFamilyDecomposition:
             FamilyDecomposition(
                 SYMPLECTIC, Partition([1]), {Partition([1]): 1, Partition([2]): 1}
             )
+        with pytest.raises(ValueError):
+            terms = Expansion({Partition([1]): 1, Partition([2]): 1}, SYMPLECTIC)
+            FamilyDecomposition(SYMPLECTIC, Partition([1]), terms)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_nonpositive_multiplicity(self, m):
+        # checked on the mapping passed in, before zero terms are dropped
+        with pytest.raises(ValueError, match="positive"):
+            FamilyDecomposition(SYMPLECTIC, Partition([1]), {Partition([1]): 1, Partition(): m})
 
     def test_cached_terms_are_read_only(self):
         lam = Partition([3, 2, 1])
@@ -266,12 +290,49 @@ class TestTensorRule:
 
 class TestMinStableRank:
     def test_cases(self):
-        assert min_stable_rank(Partition([2, 1]), "sp") == 3
-        assert min_stable_rank(Partition([1, 1, 1]), "o_even") == 5
-        assert min_stable_rank(Partition([1, 1, 1]), "o_odd") == 4
-        for fam in ("sp", "o_odd", "o_even"):
-            assert min_stable_rank(Partition(), fam) == 1
+        assert min_stable_rank(Partition([2, 1]), "C") == 3
+        assert min_stable_rank(Partition([1, 1, 1]), "D") == 5
+        assert min_stable_rank(Partition([1, 1, 1]), "B") == 4
+        assert min_stable_rank(Partition([1, 1]), "D") == 4
+
+    @pytest.mark.parametrize("lie_type", "BCD")
+    def test_never_below_the_smallest_rank(self, lie_type):
+        assert min_stable_rank(Partition(), lie_type) == MIN_RANK[lie_type]
+        for rows in range(6):
+            rank = min_stable_rank(Partition([1] * rows), lie_type)
+            LieSpec(lie_type, rank)
+            assert rank >= rows + (2 if lie_type == "D" else 1)
 
     def test_bad_family(self):
-        with pytest.raises(ValueError):
-            min_stable_rank(Partition([1]), "o")
+        # a family tag or a type other than B, C, D is refused
+        for bad in ("o", "sp", "o_odd", "A"):
+            with pytest.raises(ValueError):
+                min_stable_rank(Partition([1]), bad)
+
+
+READ_ONLY_RESULTS = {
+    "skew_schur_expand": lambda: skew_schur_expand(Partition([2, 1]), Partition([1])),
+    "mult": lambda: mult(schur_basis([2, 1]), schur_basis([1])),
+    "stable_tensor_expansion": lambda: stable_tensor_expansion(
+        Partition([1]), Partition([1]), SYMPLECTIC
+    ),
+    "branch_schur": lambda: branch_schur(Partition([2, 2]), ORTHOGONAL),
+    "family_decomposition": lambda: family_decomposition(Partition([3, 2, 1]), ORTHOGONAL),
+}
+
+
+def _state(e):
+    return dict(e.terms), e.basis, getattr(e, "top", None)
+
+
+@pytest.mark.parametrize("attr", ["terms", "basis", "top"])
+@pytest.mark.parametrize("call", list(READ_ONLY_RESULTS.values()), ids=list(READ_ONLY_RESULTS))
+def test_results_are_read_only(call, attr):
+    # a cached result edited by one caller would be every later caller's answer
+    want = _state(call())
+    with pytest.raises(AttributeError):
+        setattr(call(), attr, {Partition([9]): 5})
+    assert _state(call()) == want
+    with pytest.raises(AttributeError):
+        delattr(call(), attr)
+    assert _state(call()) == want

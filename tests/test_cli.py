@@ -179,6 +179,112 @@ class TestCommands:
         assert lines[0] == "3,2,1\t1"
         assert len(lines) == 6
 
+    @pytest.mark.parametrize(
+        "argv", [["D", "5", "--weight", "1,0,0,0,0"], ["B", "3", "--weight", "0,0,1"]]
+    )
+    def test_roots_cone_weight_outside_root_lattice(self, capsys, argv):
+        code, out, _ = run(capsys, "roots", "cone", *argv)
+        family, rank, _, weight = argv
+        assert (code, out) == (
+            0,
+            f'{{"family":"{family}","rank":{rank},"weight":[{weight}],'
+            '"solutions":[],"note":"not in the root lattice"}\n',
+        )
+        code, out, _ = run(capsys, "--format", "tsv", "roots", "cone", *argv)
+        assert (code, out) == (0, "solutions\t0\n")
+
+
+def _cells(parts):
+    return ",".join(map(str, parts))
+
+
+def _partition_cell(parts):
+    return _cells(parts) or "-"
+
+
+def _expansion_rows(terms, prefix=""):
+    return [[prefix + _partition_cell(t["partition"]), t["coeff"]] for t in terms]
+
+
+def _solution_rows(payload):
+    return [[_cells(s)] for s in payload["solutions"]] or [["(none)"]]
+
+
+# argv, and the TSV rows that the same command's JSON output implies
+TSV_CASES = {
+    "part-conjugate": (["part", "conjugate", "4,3,1"], lambda j: [[_partition_cell(j["result"])]]),
+    "part-size": (["part", "size", "4,3,1"], lambda j: [[j["result"]]]),
+    "part-contains": (["part", "contains", "3,2,1", "2,2"], lambda j: [[json.dumps(j["result"])]]),
+    "part-toweight": (["part", "toweight", "4,3,1", "4"], lambda j: [[_cells(j["result"])]]),
+    "part-fromweight": (
+        ["part", "fromweight", "0,0@rank=2"], lambda j: [[_partition_cell(j["result"])]]
+    ),
+    "schur-mult": (["schur", "mult", "2,1", "1,1"], lambda j: _expansion_rows(j["result"])),
+    "schur-skew": (["schur", "skew", "3,2,1", "1"], lambda j: _expansion_rows(j["result"])),
+    "schur-jt": (
+        ["schur", "jt", "3,2", "1"],
+        lambda j: _expansion_rows(j["h_expansion"], "h:") + _expansion_rows(j["schur"], "s:"),
+    ),
+    "lr": (["lr", "3,2,1", "2,1", "2,1"], lambda j: [[j["coefficient"]]]),
+    "branch": (["branch", "2,2", "--target", "sp"], lambda j: _expansion_rows(j["result"])),
+    "dcoef": (["dcoef", "2,1", "1", "--family", "o"], lambda j: _expansion_rows(j["result"])),
+    "dcoef-lam": (["dcoef", "2,1", "1", "--lam", "2"], lambda j: [[j["coefficient"]]]),
+    "wdecomp": (
+        ["wdecomp", "3,2,1", "--family", "sp"],
+        lambda j: [[_partition_cell(t["partition"]), t["mult"]] for t in j["terms"]],
+    ),
+    "wtensor": (
+        ["wtensor", "2", "1,1", "--family", "o"],
+        lambda j: [["equal", json.dumps(j["equal"])]]
+        + _expansion_rows(j["lhs"], "lhs:")
+        + _expansion_rows(j["rhs"], "rhs:"),
+    ),
+    "fermionic": (
+        ["fermionic", "C", "3", "--factor", "2,1"],
+        lambda j: [[_cells(t["weight"]), t["mult"]] for t in j["terms"]],
+    ),
+    "fermionic-weight": (
+        ["fermionic", "B", "3", "--factor", "1,2", "--factor", "1,1", "--weight", "1@rank=3"],
+        lambda j: [[_cells(j["weight"]), j["multiplicity"]]],
+    ),
+    "roots-beta": (
+        ["roots", "beta", "C", "4"],
+        lambda j: [[_cells(r["label"]), _cells(r["alpha"])] for r in j["roots"]],
+    ),
+    "roots-commute": (
+        ["roots", "commute", "B", "5"],
+        lambda j: [["beta_count", j["beta_count"]]]
+        + [
+            [f"{kind}_violations", len(j[f"{kind}_violations"])]
+            for kind in ("pair_sum", "pair_sum_minus_simple", "lowering")
+        ]
+        + [["ok", json.dumps(j["ok"])]],
+    ),
+    "roots-cone-alpha": (["roots", "cone", "B", "5", "--alpha", "1,2,3,4,4"], _solution_rows),
+    "roots-cone-weight": (["roots", "cone", "D", "5", "--weight", "1,-1,1,0,0"], _solution_rows),
+    "roots-cone-none": (["roots", "cone", "C", "6", "--alpha", "9,18,27,36,45,24"], _solution_rows),
+    "roots-cone-off-lattice": (
+        ["roots", "cone", "D", "5", "--weight", "1,0,0,0,0"],
+        lambda j: [["solutions", len(j["solutions"])]],
+    ),
+    "verify": (
+        ["verify"],
+        lambda *lines: [[c["name"], c["status"]] for c in lines[:-1]]
+        + [["summary", "{passed}/{total}".format(**lines[-1]["summary"])]],
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,rows", list(TSV_CASES.values()), ids=list(TSV_CASES))
+def test_tsv_rows_match_json(capsys, argv, rows):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    want = rows(*(json.loads(line) for line in out.splitlines()))
+    assert want, "a case should print at least one row"
+    code, out, _ = run(capsys, "--format", "tsv", *argv)
+    assert code == 0
+    assert out.splitlines() == ["\t".join(map(str, row)) for row in want]
+
 
 def run_near_recursion_limit(capsys, *argv):
     # a limit just above the current depth stands in for an input that nests

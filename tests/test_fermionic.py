@@ -6,7 +6,7 @@ from math import comb, floor
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lrwkit.classical import family_decomposition, min_stable_rank
+from lrwkit.classical import UNIVERSAL_FAMILY, family_decomposition, min_stable_rank
 from lrwkit.fermionic import (
     FactorList,
     _node_factor,
@@ -24,7 +24,7 @@ from lrwkit.lie import (
 )
 from lrwkit.partitions import DominantWeight, Partition, weight_from_partition
 from lrwkit.schur import mult, schur_basis
-from lrwkit.verify import _CLASSICAL_FAMILIES, fermionic_rectangle_agreement
+from lrwkit.verify import fermionic_rectangle_agreement
 
 
 def w(coeffs, rank):
@@ -406,12 +406,6 @@ def test_alpha_coords_is_integral_nonnegative_solve(case, data):
         assert got == solve
 
 
-def stable_rank(family, stable_tag, m, rows):
-    # the minimal stable rank of an m^rows rectangle, raised to the family's smallest rank
-    rank = min_stable_rank(Partition([m] * rows), stable_tag)
-    return max(rank, MIN_RANK[family])
-
-
 PRODUCT_RECTANGLES = ((1,), (2,), (3,), (1, 1), (2, 2), (1, 1, 1))
 
 
@@ -424,8 +418,8 @@ PRODUCT_RECTANGLES = ((1,), (2,), (3,), (1, 1), (2, 2), (1, 1, 1))
 def test_two_factor_decomp_matches_family_products(family, r1, r2):
     # at a stable rank the tensor product of the two KR modules is
     # sum_nu c^nu_{R1 R2} * (family member of nu): an oracle with no fermionic code
-    fam_tag, stable_tag = _CLASSICAL_FAMILIES[family]
-    rank = stable_rank(family, stable_tag, max(r1[0], r2[0]), len(r1) + len(r2))
+    fam_tag = UNIVERSAL_FAMILY[family]
+    rank = min_stable_rank(Partition([max(r1[0], r2[0])] * (len(r1) + len(r2))), family)
     want = {}
     for nu, c in mult(schur_basis(r1), schur_basis(r2)).terms.items():
         for mu, mult_mu in family_decomposition(nu, fam_tag).terms.items():
@@ -439,10 +433,10 @@ def rectangle_cases():
     # every m x ell rectangle with sides <= 4 at the minimal stable rank and,
     # for at most four boxes, one rank above it
     cases = []
-    for family, (fam_tag, stable_tag) in _CLASSICAL_FAMILIES.items():
+    for family, fam_tag in UNIVERSAL_FAMILY.items():
         for m in range(1, 5):
             for ell in range(1, 5):
-                rank = stable_rank(family, stable_tag, m, ell)
+                rank = min_stable_rank(Partition([m] * ell), family)
                 cases.append((family, rank, m, ell, fam_tag))
                 if m * ell <= 4:
                     cases.append((family, rank + 1, m, ell, fam_tag))

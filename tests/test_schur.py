@@ -40,6 +40,11 @@ class TestExpansionType:
     def test_equality_includes_basis(self):
         assert exp({(1,): 1}) != exp({(1,): 1}, H_MONOMIAL)
 
+    def test_expansion_in_another_basis_keeps_its_terms(self):
+        e = exp({(2,): 3, (1, 1): -1})
+        h = Expansion(e, H_MONOMIAL)
+        assert (h.basis, h.terms, e.basis) == (H_MONOMIAL, e.terms, SCHUR)
+
     def test_serialization_order_descending_lex(self):
         e = exp({(1, 1): 2, (2,): 1, (): -1})
         assert e.to_jsonable() == [
