@@ -6,16 +6,23 @@ exceeded. The two global options are the only settings: ``--max-boxes``
 inputs larger than the box cap instead of hanging; ``roots commute`` refuses
 ranks whose pairs of distinguished roots exceed COMMUTE_MAX_PAIRS, ``roots
 beta`` ranks whose roots have more than BETA_MAX_COORDS coordinates in all,
-and ``roots cone`` answers whose solutions times labels pass that same budget.
+and ``roots cone`` answers whose solutions times labels pass that same budget,
+as do a weight's rank (``part toweight`` and any ``@rank=``) and ``part
+conjugate``'s box count, checked before anything of that length is built.
+
+Each command returns its JSON lines and ``_write`` alone prints them; a TSV
+row is a flat view of the JSON payload, read off it. A reader that closes
+stdout early ends the output without changing the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import islice
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import classical, fermionic, looproot, schur, verify
 from .lie import LieSpec, integer_root_coords
@@ -36,8 +43,13 @@ DEFAULT_MAX_BOXES = 10
 COMMUTE_MAX_PAIRS = 9_000_000
 # ``roots beta`` prints rank coordinates per distinguished root, rank^3/2 in all.
 # Near this many it takes about 2 s (rank 150 of B, C and D). ``roots cone``
-# spends the same budget on solutions times labels.
+# spends the same budget on solutions times labels, and the ``part`` verbs on a
+# weight's rank (also any ``@rank=``) or a partition's boxes.
 BETA_MAX_COORDS = 1_700_000
+
+# A command's answer: its JSON lines, the function that reads its TSV rows off
+# them, and the step that runs once they are written and returns the exit code.
+Answer = tuple[list[dict], Callable[..., list[list]], Callable[[], int] | None]
 
 
 class ResourceCapExceeded(Exception):
@@ -67,14 +79,9 @@ def parse_weight(text: str) -> DominantWeight:
         if not rank_part.startswith("rank="):
             raise ValueError("expected '<coeffs>@rank=<n>'")
         rank = int(rank_part[len("rank="):])
-        coeffs = (
-            tuple(int(tok) for tok in coeff_part.split(","))
-            if coeff_part.strip()
-            else ()
-        )
-        if len(coeffs) < rank:
-            coeffs = coeffs + (0,) * (rank - len(coeffs))
-        return DominantWeight(coeffs, rank)
+        _check_limit(rank, BETA_MAX_COORDS, "coordinates", "weight has")
+        coeffs = tuple(int(tok) for tok in coeff_part.split(",")) if coeff_part.strip() else ()
+        return DominantWeight(coeffs + (0,) * (rank - len(coeffs)), rank)
     except ValueError as exc:
         raise UsageError(f"bad weight {text!r}: {exc}") from exc
 
@@ -116,64 +123,69 @@ def _check_limit(amount: int, limit: int, unit: str, what: str) -> None:
         raise ResourceCapExceeded(f"{what} {amount:,} {unit}, over the limit of {limit:,} {unit}")
 
 
-def _emit(args: argparse.Namespace, payload: dict, rows: list[list]) -> None:
-    if args.format == "tsv":
-        for row in rows:
-            print("\t".join(str(cell) for cell in row))
+def _cell(value: object) -> str:
+    """A TSV cell: a list as comma-separated entries, a bool as in JSON."""
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return json.dumps(value) if isinstance(value, bool) else str(value)
+
+
+def _expansion_rows(terms: list[dict], prefix: str = "") -> list[list]:
+    return [[prefix + (_cell(t["partition"]) or "-"), t["coeff"]] for t in terms]
+
+
+def _result_rows(j: dict) -> list[list]:
+    return _expansion_rows(j["result"])
+
+
+def _write(fmt: str, lines: list[dict], rows: Callable[..., list[list]]) -> None:
+    """Print an answer: its JSON lines, or the TSV rows read off them.
+
+    The only writer of stdout. If the reader closes it early, the output ends
+    there and fd 1 points at os.devnull, so the interpreter's exit flush stays
+    quiet; the caller keeps its exit code.
+    """
+    if fmt == "tsv":
+        text = ("\t".join(map(_cell, row)) for row in rows(*lines))
     else:
-        print(json.dumps(payload, separators=(",", ":")))
-
-
-def _partition_str(p: Partition) -> str:
-    return ",".join(str(x) for x in p) if p else "-"
-
-
-def _expansion_rows(e: schur.Expansion) -> list[list]:
-    return [[_partition_str(p), e.terms[p]] for p in e.support_sorted()]
+        text = (json.dumps(line, separators=(",", ":")) for line in lines)
+    try:
+        for line in text:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # ------------------------------------------------------------------- handlers
 
 
-def _cmd_part(args: argparse.Namespace) -> int:
+def _cmd_part(args: argparse.Namespace) -> Answer:
     op = args.part_op
-    if op == "conjugate":
-        p = parse_partition(args.partition)
-        result = conjugate(p)
-        payload = {"op": op, "partition": list(p), "result": list(result)}
-        rows = [[_partition_str(result)]]
-    elif op == "size":
-        p = parse_partition(args.partition)
-        payload = {"op": op, "partition": list(p), "result": size(p)}
-        rows = [[size(p)]]
-    elif op == "contains":
+    if op == "contains":
         outer = parse_partition(args.partition)
         inner = parse_partition(args.inner)
-        result = contains(outer, inner)
-        payload = {
-            "op": op,
-            "outer": list(outer),
-            "inner": list(inner),
-            "result": result,
-        }
-        rows = [[str(result).lower()]]
-    elif op == "toweight":
-        p = parse_partition(args.partition)
-        w = weight_from_partition(p, args.rank)
-        payload = {"op": op, "partition": list(p), "rank": args.rank,
-                   "result": list(w.coeffs)}
-        rows = [[",".join(map(str, w.coeffs))]]
-    else:  # fromweight
+        payload = {"op": op, "outer": list(outer), "inner": list(inner),
+                   "result": contains(outer, inner)}
+    elif op == "fromweight":
         w = parse_weight(args.weight)
-        p = partition_from_weight(w)
         payload = {"op": op, "weight": list(w.coeffs), "rank": w.rank,
-                   "result": list(p)}
-        rows = [[_partition_str(p)]]
-    _emit(args, payload, rows)
-    return 0
+                   "result": list(partition_from_weight(w))}
+    else:
+        p = parse_partition(args.partition)
+        payload = {"op": op, "partition": list(p)}
+        if op == "conjugate":
+            _check_limit(size(p), BETA_MAX_COORDS, "boxes", "partition has")
+            payload["result"] = list(conjugate(p))
+        elif op == "size":
+            payload["result"] = size(p)
+        else:  # toweight
+            _check_limit(args.rank, BETA_MAX_COORDS, "coordinates", "weight has")
+            payload.update(rank=args.rank, result=list(weight_from_partition(p, args.rank).coeffs))
+    return [payload], lambda j: [[_cell(j["result"]) or "-"]], None
 
 
-def _cmd_schur(args: argparse.Namespace) -> int:
+def _cmd_schur(args: argparse.Namespace) -> Answer:
     cap = args.max_boxes
     if args.schur_op == "mult":
         a = parse_partition(args.a)
@@ -182,35 +194,27 @@ def _cmd_schur(args: argparse.Namespace) -> int:
         result = schur.mult(schur.schur_basis(a), schur.schur_basis(b))
         payload = {"op": "mult", "a": list(a), "b": list(b),
                    "result": result.to_jsonable()}
-        rows = _expansion_rows(result)
-    elif args.schur_op == "skew":
-        lam = parse_partition(args.a)
+        return [payload], _result_rows, None
+    lam = parse_partition(args.a)
+    if args.schur_op == "skew":
         nu = parse_partition(args.b)
         _check_cap(size(lam), cap, "skew expansion")
         result = schur.skew_schur_expand(lam, nu)
         payload = {"op": "skew", "outer": list(lam), "inner": list(nu),
                    "result": result.to_jsonable()}
-        rows = _expansion_rows(result)
-    else:  # jt
-        lam = parse_partition(args.a)
-        nu = parse_partition(args.b) if args.b is not None else Partition()
-        _check_cap(size(lam), cap, "determinant expansion")
-        hexp = schur.jacobi_trudi(lam, nu)
-        sexp = schur.h_monomial_to_schur(hexp)
-        payload = {
-            "op": "jt",
-            "outer": list(lam),
-            "inner": list(nu),
-            "h_expansion": hexp.to_jsonable(),
-            "schur": sexp.to_jsonable(),
-        }
-        rows = [["h:" + _partition_str(p), hexp.terms[p]] for p in hexp.support_sorted()]
-        rows += [["s:" + _partition_str(p), sexp.terms[p]] for p in sexp.support_sorted()]
-    _emit(args, payload, rows)
-    return 0
+        return [payload], _result_rows, None
+    nu = parse_partition(args.b) if args.b is not None else Partition()
+    _check_cap(size(lam), cap, "determinant expansion")
+    hexp = schur.jacobi_trudi(lam, nu)
+    sexp = schur.h_monomial_to_schur(hexp)
+    payload = {"op": "jt", "outer": list(lam), "inner": list(nu),
+               "h_expansion": hexp.to_jsonable(), "schur": sexp.to_jsonable()}
+    return [payload], lambda j: (
+        _expansion_rows(j["h_expansion"], "h:") + _expansion_rows(j["schur"], "s:")
+    ), None
 
 
-def _cmd_lr(args: argparse.Namespace) -> int:
+def _cmd_lr(args: argparse.Namespace) -> Answer:
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
     nu = parse_partition(args.nu)
@@ -219,21 +223,19 @@ def _cmd_lr(args: argparse.Namespace) -> int:
 
     c = lr_coefficient(lam, mu, nu)
     payload = {"lam": list(lam), "mu": list(mu), "nu": list(nu), "coefficient": c}
-    _emit(args, payload, [[c]])
-    return 0
+    return [payload], lambda j: [[j["coefficient"]]], None
 
 
-def _cmd_branch(args: argparse.Namespace) -> int:
+def _cmd_branch(args: argparse.Namespace) -> Answer:
     lam = parse_partition(args.lam)
     target = _family_tag(args.target)
     _check_cap(size(lam), args.max_boxes, "restriction")
     result = classical.branch_schur(lam, target)
     payload = {"lam": list(lam), "target": target, "result": result.to_jsonable()}
-    _emit(args, payload, _expansion_rows(result))
-    return 0
+    return [payload], _result_rows, None
 
 
-def _cmd_dcoef(args: argparse.Namespace) -> int:
+def _cmd_dcoef(args: argparse.Namespace) -> Answer:
     mu = parse_partition(args.mu)
     nu = parse_partition(args.nu)
     family = _family_tag(args.family)
@@ -241,51 +243,40 @@ def _cmd_dcoef(args: argparse.Namespace) -> int:
     expansion = classical.stable_tensor_expansion(mu, nu, family)
     if args.lam is not None:
         lam = parse_partition(args.lam)
-        c = expansion.coefficient(lam)
         payload = {"mu": list(mu), "nu": list(nu), "lam": list(lam),
-                   "family": family, "coefficient": c}
-        rows = [[c]]
-    else:
-        payload = {"mu": list(mu), "nu": list(nu), "family": family,
-                   "result": expansion.to_jsonable()}
-        rows = _expansion_rows(expansion)
-    _emit(args, payload, rows)
-    return 0
+                   "family": family, "coefficient": expansion.coefficient(lam)}
+        return [payload], lambda j: [[j["coefficient"]]], None
+    payload = {"mu": list(mu), "nu": list(nu), "family": family,
+               "result": expansion.to_jsonable()}
+    return [payload], _result_rows, None
 
 
-def _cmd_wdecomp(args: argparse.Namespace) -> int:
+def _cmd_wdecomp(args: argparse.Namespace) -> Answer:
     lam = parse_partition(args.lam)
     family = _family_tag(args.family)
     _check_cap(size(lam), args.max_boxes, "decomposition")
-    decomp = classical.family_decomposition(lam, family)
-    payload = decomp.to_jsonable()
-    rows = [[_partition_str(p), m] for p, m in decomp.sorted_terms()]
-    _emit(args, payload, rows)
-    return 0
+    payload = classical.family_decomposition(lam, family).to_jsonable()
+    return [payload], lambda j: [
+        [_cell(t["partition"]) or "-", t["mult"]] for t in j["terms"]
+    ], None
 
 
-def _cmd_wtensor(args: argparse.Namespace) -> int:
+def _cmd_wtensor(args: argparse.Namespace) -> Answer:
     mu = parse_partition(args.mu)
     nu = parse_partition(args.nu)
     family = _family_tag(args.family)
     _check_cap(size(mu) + size(nu), args.max_boxes, "tensor check")
     lhs, rhs = classical.tensor_product_two_ways(mu, nu, family)
-    payload = {
-        "mu": list(mu),
-        "nu": list(nu),
-        "family": family,
-        "lhs": lhs.to_jsonable(),
-        "rhs": rhs.to_jsonable(),
-        "equal": lhs == rhs,
-    }
-    rows = [["equal", str(lhs == rhs).lower()]] + [
-        ["lhs:" + _partition_str(p), c] for p, c in sorted(lhs.terms.items(), reverse=True)
-    ] + [["rhs:" + _partition_str(p), c] for p, c in sorted(rhs.terms.items(), reverse=True)]
-    _emit(args, payload, rows)
-    return 0
+    payload = {"mu": list(mu), "nu": list(nu), "family": family,
+               "lhs": lhs.to_jsonable(), "rhs": rhs.to_jsonable(), "equal": lhs == rhs}
+    return [payload], lambda j: (
+        [["equal", j["equal"]]]
+        + _expansion_rows(j["lhs"], "lhs:")
+        + _expansion_rows(j["rhs"], "rhs:")
+    ), None
 
 
-def _cmd_fermionic(args: argparse.Namespace) -> int:
+def _cmd_fermionic(args: argparse.Namespace) -> Answer:
     spec = LieSpec(args.family.upper(), args.rank)
     factors = [parse_factor(f) for f in args.factor]
     boxes = sum(m * node for m, node in factors)
@@ -295,92 +286,72 @@ def _cmd_fermionic(args: argparse.Namespace) -> int:
         lam = parse_weight(args.weight)
         mult = fermionic.fermionic_multiplicity(spec, factors, lam)
         payload.update(weight=list(lam.coeffs), multiplicity=mult)
-        rows = [[",".join(map(str, lam.coeffs)), mult]]
-    else:
-        decomp = fermionic.fermionic_decomp(spec, factors)
-        ordered = sorted(decomp.items(), key=lambda kv: kv[0].coeffs, reverse=True)
-        payload["terms"] = [{"weight": list(w.coeffs), "mult": m} for w, m in ordered]
-        rows = [[",".join(map(str, w.coeffs)), m] for w, m in ordered]
-    _emit(args, payload, rows)
-    return 0
+        return [payload], lambda j: [[j["weight"], j["multiplicity"]]], None
+    decomp = fermionic.fermionic_decomp(spec, factors)
+    ordered = sorted(decomp.items(), key=lambda kv: kv[0].coeffs, reverse=True)
+    payload["terms"] = [{"weight": list(w.coeffs), "mult": m} for w, m in ordered]
+    return [payload], lambda j: [[t["weight"], t["mult"]] for t in j["terms"]], None
 
 
-def _cmd_roots(args: argparse.Namespace) -> int:
+def _cmd_roots(args: argparse.Namespace) -> Answer:
     spec = LieSpec(args.family.upper(), args.rank)
     where = f"{spec.family} {spec.rank}"
     if args.roots_op == "beta":
         coords = looproot.beta_count(spec) * spec.rank
         _check_limit(coords, BETA_MAX_COORDS, "coordinates", f"distinguished roots at {where} have")
-        bset = looproot.beta_roots(spec)
-        payload = bset.to_jsonable()
-        rows = [
-            [f"{k},{l}", ",".join(map(str, r.coords))]
-            for (k, l), r in zip(bset.labels, bset.roots)
-        ]
-    elif args.roots_op == "commute":
+        payload = looproot.beta_roots(spec).to_jsonable()
+        return [payload], lambda j: [[r["label"], r["alpha"]] for r in j["roots"]], None
+    if args.roots_op == "commute":
         pairs = looproot.beta_count(spec) ** 2
         _check_limit(pairs, COMMUTE_MAX_PAIRS, "pairs", f"commutation check at {where} scans")
-        payload = looproot.commute_check(spec)
-        rows = [["beta_count", payload["beta_count"]]]
-        for kind in ("pair_sum", "pair_sum_minus_simple", "lowering"):
-            rows.append([f"{kind}_violations", len(payload[f"{kind}_violations"])])
-        rows.append(["ok", str(payload["ok"]).lower()])
-    else:  # cone
-        if args.alpha is not None:  # RootLatticeElement checks the length
-            coords = parse_int_vector(args.alpha)
-        else:
-            wvec = parse_int_vector(args.weight)
-            if len(wvec) != spec.rank:
-                raise UsageError(f"expected {spec.rank} coefficients, got {len(wvec)}")
-            coords = integer_root_coords(spec, wvec)
-            if coords is None:
-                payload = {
-                    "family": spec.family,
-                    "rank": spec.rank,
-                    "weight": list(wvec),
-                    "solutions": [],
-                    "note": "not in the root lattice",
-                }
-                _emit(args, payload, [["solutions", 0]])
-                return 0
-        diff = RootLatticeElement(coords, spec.rank)
-        # the answer shares the ``roots beta`` budget: solutions times labels
-        labels = looproot.beta_count(spec)
-        _check_limit(labels, BETA_MAX_COORDS, "coordinates", f"one cone solution at {where} has")
-        walk = looproot._cone_walk(diff, spec)
-        sols = list(islice(walk, BETA_MAX_COORDS // max(labels, 1) + 1))
-        what = f"cone solutions at {where} have at least"
-        _check_limit(len(sols) * labels, BETA_MAX_COORDS, "coordinates", what)
-        payload = {
-            "family": spec.family,
-            "rank": spec.rank,
-            "alpha": list(coords),
-            "solutions": [list(s) for s in sols],
-        }
-        rows = [[",".join(map(str, s))] for s in sols] or [["(none)"]]
-    _emit(args, payload, rows)
-    return 0
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify.run_verify_suite(args.level)
-    if args.format == "tsv":
-        for check in report.checks:
-            print(f"{check.name}\t{'pass' if check.passed else 'fail'}")
-        print(f"summary\t{report.passed}/{len(report.checks)}")
+        skip = ("family", "rank", "l_max")  # then beta_count, each violation count, ok
+        return [looproot.commute_check(spec)], lambda j: [
+            [k, len(v) if isinstance(v, list) else v] for k, v in j.items() if k not in skip
+        ], None
+    if args.alpha is not None:  # RootLatticeElement checks the length
+        coords = parse_int_vector(args.alpha)
     else:
-        for check in report.checks:
-            print(json.dumps(check.to_jsonable(), separators=(",", ":")))
-        summary = report.to_jsonable()["summary"]
-        print(json.dumps({"summary": {"level": report.level, **summary}}, separators=(",", ":")))
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
-                fh.write("\n")
-        except OSError as exc:
-            raise UsageError(f"cannot write report {args.out!r}: {exc}") from exc
-    return 0 if report.ok else 1
+        wvec = parse_int_vector(args.weight)
+        if len(wvec) != spec.rank:
+            raise UsageError(f"expected {spec.rank} coefficients, got {len(wvec)}")
+        coords = integer_root_coords(spec, wvec)
+        if coords is None:
+            payload = {"family": spec.family, "rank": spec.rank, "weight": list(wvec),
+                       "solutions": [], "note": "not in the root lattice"}
+            return [payload], lambda j: [["solutions", len(j["solutions"])]], None
+    diff = RootLatticeElement(coords, spec.rank)
+    # the answer shares the ``roots beta`` budget: solutions times labels
+    labels = looproot.beta_count(spec)
+    _check_limit(labels, BETA_MAX_COORDS, "coordinates", f"one cone solution at {where} has")
+    walk = looproot._cone_walk(diff, spec)
+    sols = list(islice(walk, BETA_MAX_COORDS // max(labels, 1) + 1))
+    what = f"cone solutions at {where} have at least"
+    _check_limit(len(sols) * labels, BETA_MAX_COORDS, "coordinates", what)
+    payload = {"family": spec.family, "rank": spec.rank, "alpha": list(coords),
+               "solutions": [list(s) for s in sols]}
+    return [payload], lambda j: [[s] for s in j["solutions"]] or [["(none)"]], None
+
+
+def _cmd_verify(args: argparse.Namespace) -> Answer:
+    report = verify.run_verify_suite(args.level)
+    summary = {"level": report.level, **report.to_jsonable()["summary"]}
+    lines = [check.to_jsonable() for check in report.checks] + [{"summary": summary}]
+
+    def rows(*out: dict) -> list[list]:
+        total = "{passed}/{total}".format(**out[-1]["summary"])
+        return [[c["name"], c["status"]] for c in out[:-1]] + [["summary", total]]
+
+    def finish() -> int:
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(report.to_json())
+                    fh.write("\n")
+            except OSError as exc:
+                raise UsageError(f"cannot write report {args.out!r}: {exc}") from exc
+        return 0 if report.ok else 1
+
+    return lines, rows, finish
 
 
 # ---------------------------------------------------------------- arg parsing
@@ -400,9 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_MAX_BOXES,
         help=f"cap on enumeration size in boxes (default {DEFAULT_MAX_BOXES})",
     )
-    parser.add_argument(
-        "--format", choices=("json", "tsv"), default="json", help="output format"
-    )
+    parser.add_argument("--format", choices=("json", "tsv"), default="json", help="output format")
     sub = parser.add_subparsers(dest="command", required=True)
 
     part = sub.add_parser("part", help="partition and weight utilities")
@@ -466,24 +435,18 @@ def build_parser() -> argparse.ArgumentParser:
     ferm.add_argument("family", choices=("A", "B", "C", "D", "a", "b", "c", "d"))
     ferm.add_argument("rank", type=int)
     ferm.add_argument(
-        "--factor",
-        action="append",
-        required=True,
-        help="tensor factor 'm,node'; repeatable",
+        "--factor", action="append", required=True, help="tensor factor 'm,node'; repeatable"
     )
     ferm.add_argument("--weight", default=None, help="report one multiplicity")
     ferm.set_defaults(handler=_cmd_fermionic)
 
     roots = sub.add_parser("roots", help="root-system queries")
     roots_sub = roots.add_subparsers(dest="roots_op", required=True)
-    for op in ("beta", "commute"):
+    for op in ("beta", "commute", "cone"):
         sp = roots_sub.add_parser(op)
         sp.add_argument("family", choices=("B", "C", "D", "b", "c", "d"))
         sp.add_argument("rank", type=int)
-    sp = roots_sub.add_parser("cone")
-    sp.add_argument("family", choices=("B", "C", "D", "b", "c", "d"))
-    sp.add_argument("rank", type=int)
-    target = sp.add_mutually_exclusive_group(required=True)
+    target = sp.add_mutually_exclusive_group(required=True)  # the last, cone's
     target.add_argument("--alpha", default=None, help="difference in root coordinates")
     target.add_argument("--weight", default=None, help="difference in weight coordinates")
     roots.set_defaults(handler=_cmd_roots)
@@ -502,7 +465,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.max_boxes < 0:
             raise UsageError(f"max_boxes must be nonnegative, got {args.max_boxes}")
-        return args.handler(args)
+        lines, rows, finish = args.handler(args)
+        _write(args.format, lines, rows)
+        return finish() if finish else 0
     except ResourceCapExceeded as exc:
         print(f"lrwkit: {exc}", file=sys.stderr)
         return 3

@@ -38,6 +38,7 @@ from .lie import (
     couplings,
     integer_root_coords,
     root_coords_of_weight_vector,
+    root_lengths,
     weight_of_root_vector,
 )
 from .partitions import DominantWeight, Partition, partitions_of
@@ -254,10 +255,10 @@ def fermionic_decomp(
     """All dominant weights with nonzero multiplicity, with their multiplicities.
 
     Kleber's algorithm as a column sweep, virtual for B and C: on their long
-    nodes (gamma = 2: B 1..n-1, C n) rows and factor lengths are doubled. A
-    path grows all partitions one column t = 1, 2, ... at a time, heights c_t
-    non-increasing, and carries p(t) = sum_{s<=t} (f_s - C.c_s), where f_s
-    counts the factors of stretched length >= s.
+    nodes (gamma = 2 in ``root_lengths``: B 1..n-1, C n) rows and factor lengths
+    are doubled. A path grows all partitions one column t = 1, 2, ... at a time,
+    heights c_t non-increasing, and carries p(t) = sum_{s<=t} (f_s - C.c_s), where
+    f_s counts the factors of stretched length >= s.
 
     1. p_a(t) is gamma_a times the vacancy number at (a, t/gamma_a): the
        stretch turns the min(2n, h) and min(n, 2h) couplings of ``couplings``
@@ -277,8 +278,7 @@ def fermionic_decomp(
     factors = _coerce_factors(factors)
     rank = spec.rank
     top = factors.top_weight(rank)
-    long_nodes = {"B": range(rank - 1), "C": (rank - 1,)}.get(spec.family, ())
-    gamma = [2 if a in long_nodes else 1 for a in range(rank)]
+    gamma = root_lengths(spec)
     ready_at = _ready_at(spec)
     bonds = couplings(spec)
     longest = max(gamma[node - 1] * m for m, node in factors.factors)

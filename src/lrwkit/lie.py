@@ -7,7 +7,8 @@ vacancy numbers of the fermionic formula stabilize at the weight coordinates
 of the target, which pins the convention unambiguously.
 
 This module owns the Dynkin data: other modules read the diagram only through
-``couplings``, the cached sparse view of ``cartan_matrix``, and ``MIN_RANK``.
+``couplings``, the cached sparse view of ``cartan_matrix``, ``root_lengths``
+and ``MIN_RANK``.
 """
 
 from __future__ import annotations
@@ -56,6 +57,17 @@ def cartan_matrix(spec: LieSpec) -> tuple[tuple[int, ...], ...]:
         c[n - 3][n - 1] = -1  # fork: both end nodes hang off n-2
         c[n - 1][n - 3] = -1
     return tuple(tuple(row) for row in c)
+
+
+def root_lengths(spec: LieSpec) -> tuple[int, ...]:
+    """gamma_a, the squared length of the a-th simple root over that of a short one.
+
+    2 on the long nodes of B (1..n-1) and C (n), else 1; diag(gamma) symmetrizes
+    the Cartan matrix: c[i][j] gamma_j == c[j][i] gamma_i.
+    """
+    n = spec.rank
+    long_nodes = {"B": range(n - 1), "C": (n - 1,)}.get(spec.family, ())
+    return tuple(2 if a in long_nodes else 1 for a in range(n))
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
 import sys
 import time
 
 import pytest
 
+import lrwkit
 from lrwkit import looproot
 from lrwkit.cli import BETA_MAX_COORDS, COMMUTE_MAX_PAIRS, main, parse_partition, parse_weight
 from lrwkit.lie import LieSpec
@@ -286,6 +290,19 @@ def test_tsv_rows_match_json(capsys, argv, rows):
     assert out.splitlines() == ["\t".join(map(str, row)) for row in want]
 
 
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_closed_stdout_keeps_the_exit_code(fmt):
+    # C 60 prints about 500 KB, far past a 64 KiB pipe buffer: the reader leaves mid-output
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(lrwkit.__file__).parents[1]))
+    argv = [sys.executable, "-m", "lrwkit.cli", "--format", fmt, "roots", "beta", "C", "60"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline(4096)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
+
+
 def run_near_recursion_limit(capsys, *argv):
     # a limit just above the current depth stands in for an input that nests
     # near the default limit of 1000
@@ -387,6 +404,43 @@ class TestExitCodes:
             capsys, "fermionic", "D", "5000", "--factor", "1,2", "--weight", "1@rank=5000"
         )
         assert code == 0 and json.loads(out)["multiplicity"] == 0
+
+    @pytest.mark.parametrize(
+        "argv,unit",
+        [
+            (["part", "toweight", "1", "1000000000"], "coordinates"),
+            (["part", "fromweight", "1@rank=1000000000"], "coordinates"),
+            (["part", "conjugate", "1000000000"], "boxes"),
+            (["fermionic", "B", "3", "--factor", "1,1", "--weight", "1@rank=1000000000"],
+             "coordinates"),
+        ],
+        ids=["toweight", "fromweight", "conjugate", "fermionic-weight"],
+    )
+    def test_part_budget_exits_3_at_once(self, capsys, argv, unit):
+        # each built a list of that length first: 2 s and 275 MB at 3,000,000
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (3, "")
+        assert err.startswith("lrwkit: ") and err.count("\n") == 1
+        assert f"1,000,000,000 {unit}, over the limit of {BETA_MAX_COORDS:,} {unit}" in err
+
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (["part", "toweight", "1", "{n}"], "result"),
+            (["part", "fromweight", "1@rank={n}"], "weight"),
+            (["part", "conjugate", "{n}"], "result"),
+        ],
+        ids=["toweight", "fromweight", "conjugate"],
+    )
+    def test_part_budget_admits_its_limit(self, capsys, argv, key):
+        code, out, _ = run(capsys, *(a.format(n=BETA_MAX_COORDS) for a in argv))
+        assert code == 0 and len(json.loads(out)[key]) == BETA_MAX_COORDS
+        code, out, err = run(capsys, *(a.format(n=BETA_MAX_COORDS + 1) for a in argv))
+        assert (code, out) == (3, "")
+        assert f"over the limit of {BETA_MAX_COORDS:,}" in err
+        assert parse_weight(f"1@rank={BETA_MAX_COORDS}").rank == BETA_MAX_COORDS
 
     def test_usage_error_from_argparse(self, capsys):
         with pytest.raises(SystemExit) as err:

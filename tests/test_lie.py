@@ -11,6 +11,7 @@ from lrwkit.lie import (
     couplings,
     integer_root_coords,
     root_coords_of_weight_vector,
+    root_lengths,
     weight_of_root_vector,
 )
 from lrwkit.looproot import beta_roots
@@ -142,3 +143,14 @@ def test_couplings_list_each_off_diagonal_entry_once(family):
         assert len(entries) == len(off_diagonal)
         assert {(k, j): a for k, j, a, _ in entries} == off_diagonal
         assert all(b == -c[j][k] for k, j, _, b in entries)
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_root_lengths_symmetrize_the_cartan_matrix(family):
+    for rank in range(MIN_RANK[family], 9):
+        spec = LieSpec(family, rank)
+        c, gamma = cartan_matrix(spec), root_lengths(spec)
+        assert len(gamma) == rank and min(gamma) == 1
+        assert all(
+            c[i][j] * gamma[j] == c[j][i] * gamma[i] for i in range(rank) for j in range(rank)
+        )
