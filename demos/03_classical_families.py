@@ -17,6 +17,7 @@ from lrwkit import (
     tensor_product_two_ways,
     to_schur,
 )
+from lrwkit.verify import orthogonal_stable_product
 
 # Restriction of a Schur function to the classical subgroups sums
 # Littlewood-Richardson coefficients over domino-tileable inner shapes:
@@ -26,12 +27,14 @@ print("s[2]   restricted to o :", branch_schur(Partition([2]), "o"))
 print("inverting the first:", to_schur(Expansion({Partition([1, 1]): 1}, "sp")))
 print()
 
-# The two classical bases share their structure constants.
+# The two classical bases share their structure constants, so the library
+# computes them once, through the symplectic characters; the route through
+# the orthogonal characters is kept as its check.
 one = Partition([1])
 print("square of the vector character, symplectic route:",
       stable_tensor_expansion(one, one, "sp"))
 print("square of the vector character, orthogonal route: ",
-      stable_tensor_expansion(one, one, "o"))
+      orthogonal_stable_product(one, one))
 print()
 
 # The distinguished reducible family: multiplicities sum LR coefficients

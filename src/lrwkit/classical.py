@@ -1,9 +1,9 @@
 """Universal symplectic/orthogonal characters and the stable branching calculus.
 
 The two classical bases are reached from the Schur basis by a unitriangular
-change of basis (restriction), inverted exactly; their common structure
-constants and the distinguished reducible family whose tensor products follow
-the Littlewood-Richardson rule are computed from that.
+change of basis (restriction), inverted exactly. From that come their shared
+structure constants, computed once in the symplectic basis, and the reducible
+family whose tensor products follow the Littlewood-Richardson rule.
 """
 
 from __future__ import annotations
@@ -142,29 +142,23 @@ def _branch_expansion(a: Expansion, target: str) -> Expansion:
 def stable_tensor_expansion(mu: Partition, nu: Partition, family: str) -> Expansion:
     """Product of two classical basis elements, expanded in the same basis.
 
-    Computed by moving both factors to the Schur basis, multiplying there,
-    and restricting back. The product is symmetric in mu and nu, so it is
-    computed once per unordered pair, with the larger factor (by size, then
-    by tuple) first; the other order is a cache entry that calls this one.
-    The two families are still computed separately: their agreement is a
-    check (`stable-coefficient-suite`).
+    Both bases share these structure constants (Newell 1951; Koike-Terada 1987),
+    so one product serves both: the factors' universal symplectic characters,
+    multiplied in the Schur basis and restricted back, once per unordered pair.
+    The other order and the orthogonal tag are cache entries that call that one.
     """
     _check_family(family)
     if (size(mu), mu) < (size(nu), nu):
         return stable_tensor_expansion(nu, mu, family)
-    prod = mult(_universal_in_schur(mu, family), _universal_in_schur(nu, family))
-    return _branch_expansion(prod, family)
+    if family == ORTHOGONAL:
+        return Expansion(stable_tensor_expansion(mu, nu, SYMPLECTIC), ORTHOGONAL)
+    prod = mult(_universal_in_schur(mu, SYMPLECTIC), _universal_in_schur(nu, SYMPLECTIC))
+    return _branch_expansion(prod, SYMPLECTIC)
 
 
-def stable_tensor_coefficient(
-    mu: Partition, nu: Partition, lam: Partition, family: str = SYMPLECTIC
-) -> int:
-    """Stable tensor multiplicity of lam in the product of mu and nu.
-
-    The symplectic and orthogonal bases share these structure constants; the
-    family argument only selects the computation route.
-    """
-    return stable_tensor_expansion(mu, nu, family).coefficient(lam)
+def stable_tensor_coefficient(mu: Partition, nu: Partition, lam: Partition) -> int:
+    """Stable tensor multiplicity of lam in the product of mu and nu, in either family."""
+    return stable_tensor_expansion(mu, nu, SYMPLECTIC).coefficient(lam)
 
 
 class FamilyDecomposition(Expansion):

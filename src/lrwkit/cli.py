@@ -124,14 +124,14 @@ def _check_limit(amount: int, limit: int, unit: str, what: str) -> None:
 
 
 def _cell(value: object) -> str:
-    """A TSV cell: a list as comma-separated entries, a bool as in JSON."""
+    """A TSV cell: a list as comma-separated entries (``-`` if empty), a bool as in JSON."""
     if isinstance(value, list):
-        return ",".join(map(str, value))
+        return ",".join(map(str, value)) or "-"
     return json.dumps(value) if isinstance(value, bool) else str(value)
 
 
 def _expansion_rows(terms: list[dict], prefix: str = "") -> list[list]:
-    return [[prefix + (_cell(t["partition"]) or "-"), t["coeff"]] for t in terms]
+    return [[prefix + _cell(t["partition"]), t["coeff"]] for t in terms]
 
 
 def _result_rows(j: dict) -> list[list]:
@@ -182,7 +182,7 @@ def _cmd_part(args: argparse.Namespace) -> Answer:
         else:  # toweight
             _check_limit(args.rank, BETA_MAX_COORDS, "coordinates", "weight has")
             payload.update(rank=args.rank, result=list(weight_from_partition(p, args.rank).coeffs))
-    return [payload], lambda j: [[_cell(j["result"]) or "-"]], None
+    return [payload], lambda j: [[j["result"]]], None
 
 
 def _cmd_schur(args: argparse.Namespace) -> Answer:
@@ -256,9 +256,7 @@ def _cmd_wdecomp(args: argparse.Namespace) -> Answer:
     family = _family_tag(args.family)
     _check_cap(size(lam), args.max_boxes, "decomposition")
     payload = classical.family_decomposition(lam, family).to_jsonable()
-    return [payload], lambda j: [
-        [_cell(t["partition"]) or "-", t["mult"]] for t in j["terms"]
-    ], None
+    return [payload], lambda j: [[t["partition"], t["mult"]] for t in j["terms"]], None
 
 
 def _cmd_wtensor(args: argparse.Namespace) -> Answer:

@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterator
 
 from . import lie
-from .lie import LieSpec, couplings, weight_of_root_vector
+from .lie import LieSpec, couplings
 from .partitions import RootLatticeElement
 
 
@@ -58,6 +58,16 @@ def positive_roots(spec: LieSpec) -> frozenset[RootLatticeElement]:
     return result
 
 
+def _beta_weight(n: int, k: int, l: int) -> list[int]:
+    """Weight coordinates of e_k + e_l, with l below the tail of the diagram.
+
+    Chain node i pairs with e_i - e_(i+1), so w_i = v_i - v_(i+1) with v padded
+    by one 0; the tail nodes read only v_n (and v_(n-1) on D), which are 0 here.
+    """
+    v = _orthogonal(n, k, l) + [0]
+    return list(map(sub, v, v[1:]))
+
+
 @dataclass(frozen=True)
 class BetaSet:
     """The ordered distinguished roots with their (k, l) labels.
@@ -82,7 +92,7 @@ class BetaSet:
                 {
                     "label": list(label),
                     "alpha": list(root.coords),
-                    "weight": list(weight_of_root_vector(self.spec, root.coords)),
+                    "weight": _beta_weight(self.spec.rank, *label),
                 }
                 for label, root in zip(self.labels, self.roots)
             ],

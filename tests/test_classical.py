@@ -33,6 +33,7 @@ from lrwkit.schur import (
     schur_basis,
     skew_schur_expand,
 )
+from lrwkit.verify import orthogonal_stable_product
 
 
 def exp(terms, basis):
@@ -146,6 +147,12 @@ class TestStableTensor:
                 nu, mu, family
             )
 
+    def test_families_share_one_product(self):
+        mu, nu = Partition([2, 1]), Partition([3, 1])
+        for a, b in ((mu, nu), (nu, mu)):
+            sp = stable_tensor_expansion(a, b, SYMPLECTIC)
+            assert stable_tensor_expansion(a, b, ORTHOGONAL).terms is sp.terms
+
 
 # Pairs of at most 8 boxes together: products cheap enough to draw many.
 small_pairs = st.sampled_from(
@@ -157,10 +164,11 @@ small_pairs = st.sampled_from(
 @given(small_pairs)
 def test_omega_duality(pair):
     # conjugating every partition swaps the two domino classes, so the
-    # symplectic product of (mu, nu) is the orthogonal one of (mu', nu')
+    # symplectic product of (mu, nu) is the orthogonal one of (mu', nu'),
+    # read here through the orthogonal characters: a second route
     mu, nu = pair
     sp = stable_tensor_expansion(mu, nu, SYMPLECTIC).terms
-    dual = stable_tensor_expansion(conjugate(mu), conjugate(nu), ORTHOGONAL).terms
+    dual = orthogonal_stable_product(conjugate(mu), conjugate(nu)).terms
     assert sp == {conjugate(lam): c for lam, c in dual.items()}, pair
 
 

@@ -199,15 +199,11 @@ class TestCommands:
 
 
 def _cells(parts):
-    return ",".join(map(str, parts))
-
-
-def _partition_cell(parts):
-    return _cells(parts) or "-"
+    return ",".join(map(str, parts)) or "-"
 
 
 def _expansion_rows(terms, prefix=""):
-    return [[prefix + _partition_cell(t["partition"]), t["coeff"]] for t in terms]
+    return [[prefix + _cells(t["partition"]), t["coeff"]] for t in terms]
 
 
 def _solution_rows(payload):
@@ -216,12 +212,12 @@ def _solution_rows(payload):
 
 # argv, and the TSV rows that the same command's JSON output implies
 TSV_CASES = {
-    "part-conjugate": (["part", "conjugate", "4,3,1"], lambda j: [[_partition_cell(j["result"])]]),
+    "part-conjugate": (["part", "conjugate", "4,3,1"], lambda j: [[_cells(j["result"])]]),
     "part-size": (["part", "size", "4,3,1"], lambda j: [[j["result"]]]),
     "part-contains": (["part", "contains", "3,2,1", "2,2"], lambda j: [[json.dumps(j["result"])]]),
     "part-toweight": (["part", "toweight", "4,3,1", "4"], lambda j: [[_cells(j["result"])]]),
     "part-fromweight": (
-        ["part", "fromweight", "0,0@rank=2"], lambda j: [[_partition_cell(j["result"])]]
+        ["part", "fromweight", "0,0@rank=2"], lambda j: [[_cells(j["result"])]]
     ),
     "schur-mult": (["schur", "mult", "2,1", "1,1"], lambda j: _expansion_rows(j["result"])),
     "schur-skew": (["schur", "skew", "3,2,1", "1"], lambda j: _expansion_rows(j["result"])),
@@ -235,7 +231,7 @@ TSV_CASES = {
     "dcoef-lam": (["dcoef", "2,1", "1", "--lam", "2"], lambda j: [[j["coefficient"]]]),
     "wdecomp": (
         ["wdecomp", "3,2,1", "--family", "sp"],
-        lambda j: [[_partition_cell(t["partition"]), t["mult"]] for t in j["terms"]],
+        lambda j: [[_cells(t["partition"]), t["mult"]] for t in j["terms"]],
     ),
     "wtensor": (
         ["wtensor", "2", "1,1", "--family", "o"],
@@ -266,6 +262,7 @@ TSV_CASES = {
     ),
     "roots-cone-alpha": (["roots", "cone", "B", "5", "--alpha", "1,2,3,4,4"], _solution_rows),
     "roots-cone-weight": (["roots", "cone", "D", "5", "--weight", "1,-1,1,0,0"], _solution_rows),
+    "roots-cone-empty-solution": (["roots", "cone", "B", "2", "--alpha", "0,0"], _solution_rows),
     "roots-cone-none": (["roots", "cone", "C", "6", "--alpha", "9,18,27,36,45,24"], _solution_rows),
     "roots-cone-off-lattice": (
         ["roots", "cone", "D", "5", "--weight", "1,0,0,0,0"],

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from lrwkit import lie, looproot
-from lrwkit.lie import MIN_RANK, LieSpec, cartan_matrix, integer_root_coords
+from lrwkit.lie import MIN_RANK, LieSpec, cartan_matrix, integer_root_coords, weight_of_root_vector
 from lrwkit.looproot import (
     beta_roots,
     commute_check,
@@ -193,6 +193,16 @@ class TestBetaRoots:
         assert payload["count"] == 3
         assert payload["roots"][0]["label"] == [1, 2]
         assert payload["roots"][0]["weight"] == [0, 1, 0, 0, 0]
+
+    @pytest.mark.parametrize("family", ["B", "C", "D"])
+    def test_weights_match_the_cartan_oracle(self, family):
+        # the serialized weights are written from the labels; the Cartan
+        # matrix applied to the simple-root coordinates is the oracle
+        for rank in range(MIN_RANK[family], 13):
+            spec = LieSpec(family, rank)
+            for root in beta_roots(spec).to_jsonable()["roots"]:
+                want = weight_of_root_vector(spec, tuple(root["alpha"]))
+                assert root["weight"] == list(want), (family, rank, root["label"])
 
 
 class TestTypeASupport:
