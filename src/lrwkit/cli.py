@@ -298,7 +298,9 @@ def _cmd_roots(args: argparse.Namespace) -> Answer:
         coords = looproot.beta_count(spec) * spec.rank
         _check_limit(coords, BETA_MAX_COORDS, "coordinates", f"distinguished roots at {where} have")
         payload = looproot.beta_roots(spec).to_jsonable()
-        return [payload], lambda j: [[r["label"], r["alpha"]] for r in j["roots"]], None
+        return [payload], lambda j: [
+            [r["label"], r["alpha"]] for r in j["roots"]
+        ] or [["(none)"]], None
     if args.roots_op == "commute":
         pairs = looproot.beta_count(spec) ** 2
         _check_limit(pairs, COMMUTE_MAX_PAIRS, "pairs", f"commutation check at {where} scans")

@@ -13,13 +13,17 @@ it a few reads: ``_min_sums(nu)`` holds s[t] = sum_h min(t, h) for every t up
 to the longest row (|nu| beyond it), and ``lie.couplings(spec)`` lists each
 node's neighbours with their (a, b). A coupling reads s[n] for (1, 1), s[2n]
 for (2, 1), and s[floor(n/2)] + s[ceil(n/2)] for (1, 2), since
-min(n, 2h) = min(floor(n/2), h) + min(ceil(n/2), h).
+min(n, 2h) = min(floor(n/2), h) + min(ceil(n/2), h). ``_vacancy_at`` makes
+these reads for ``vacancy`` and for the column bound below.
 
 ``fermionic_multiplicity`` sums configurations for one weight (``_config_sum``),
 fixing whole partitions in node index order, the only search that still does.
 Each node factor settles once the node and its Dynkin neighbours are fixed
 (``_ready_at``), where a zero factor cuts the branch; it scans row sizes only
-up to the longest row of nu_k (see ``_node_factor``). ``fermionic_decomp``
+up to the longest row of nu_k (see ``_node_factor``). A node fixed before a
+neighbour is bounded at once: the neighbour stands in as the single column
+1^{n_j}, which gives each coupling term its largest value, so a negative
+vacancy number there cuts only branches that sum to 0. ``fermionic_decomp``
 grows all partitions one column at a time instead (Kleber's algorithm), so
 every path is one nonzero configuration; the configuration sum is its oracle.
 """
@@ -139,6 +143,46 @@ def _min_sums(nu: Partition | tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sums)
 
 
+def _vacancy_at(
+    lengths: Sequence[int],
+    own: tuple[int, ...],
+    bonds: Sequence[tuple[int, int, int]],
+    tables: Sequence[tuple[int, ...]] | dict[int, tuple[int, ...]],
+    n: int,
+) -> int:
+    """The vacancy number at row size n, read off min-sum tables.
+
+    lengths are the lengths of the factors on the node, own is the node's
+    table, bonds its ``couplings`` entry, and tables[j] the table of neighbour
+    j. Every min(a*n, b*h) coupling is read here and nowhere else.
+    """
+    total = -2 * (own[n] if n < len(own) else own[-1])
+    for m in lengths:
+        total += m if m < n else n
+    for j, a, b in bonds:
+        s = tables[j]
+        top = len(s) - 1
+        if b == 2:  # sum min(n, 2h) = s[floor(n/2)] + s[ceil(n/2)]
+            h = n // 2
+            total += s[h] + s[h + n % 2] if h < top else 2 * s[top]
+        else:  # sum min(a*n, h), a = 1 or 2
+            total += s[a * n] if a * n < top else s[top]
+    return total
+
+
+def _falls_negative(
+    lengths: Sequence[int],
+    own: tuple[int, ...],
+    bonds: Sequence[tuple[int, int, int]],
+    tables: Sequence[tuple[int, ...]],
+) -> bool:
+    """Whether ``_vacancy_at`` is negative at some row size up to the node's longest row."""
+    for n in range(1, len(own)):
+        if _vacancy_at(lengths, own, bonds, tables, n) < 0:
+            return True
+    return False
+
+
 def vacancy(
     spec: LieSpec,
     factors: FactorList | Iterable[tuple[int, int]],
@@ -160,17 +204,14 @@ def vacancy(
             f"configuration has {len(nus)} partitions, spec rank is {spec.rank}"
         )
     k = node - 1
-    own = _min_sums(nus[k])
-    total = sum(min(n, m) for m, l in factors.factors if l == node)
-    total -= 2 * own[min(n, len(own) - 1)]
-    for j, a, b in couplings(spec)[k]:
-        s = _min_sums(nus[j])
-        top = len(s) - 1
-        if b == 2:  # sum min(n, 2h)
-            total += s[min(n // 2, top)] + s[min((n + 1) // 2, top)]
-        else:  # sum min(a*n, h), a = 1 or 2
-            total += s[min(a * n, top)]
-    return total
+    bonds = couplings(spec)[k]
+    return _vacancy_at(
+        [m for m, l in factors.factors if l == node],
+        _min_sums(nus[k]),
+        bonds,
+        {j: _min_sums(nus[j]) for j, _, _ in bonds},
+        n,
+    )
 
 
 def _node_factor(
@@ -207,12 +248,25 @@ def _node_factor(
 
 
 def _config_sum(spec: LieSpec, factors: FactorList, nvec: tuple[int, ...]) -> int:
-    """Sum of binomial products over all configurations for fixed coordinates."""
+    """Sum of binomial products over all configurations for fixed coordinates.
+
+    Partitions are fixed in node index order. A node whose neighbours are all
+    fixed gets its exact factor (``_node_factor``), and a zero cuts the branch.
+    A node fixed before some neighbour j is first checked with each such j
+    standing in as the single column 1^{n_j}: since min(a*n, b*h) <=
+    h*min(a*n, b), that column gives every coupling term its largest value
+    over the partitions of n_j, so a negative vacancy number in the scan of
+    ``_node_factor`` means that node factor is 0 in every completion.
+    """
     _check_depth(spec)
     rank = spec.rank
     ready_at = _ready_at(spec)
+    bonds = couplings(spec)
+    lengths = [[m for m, l in factors.factors if l == k + 1] for k in range(rank)]
     options = [_partitions_list(nvec[k]) for k in range(rank)]
     chosen: list[Partition] = [Partition()] * rank
+    # min-sum tables: a fixed node's own, an unfixed node's column 1^{n_j}
+    tables: list[tuple[int, ...]] = [(0, x) for x in nvec]
     total = 0
 
     def rec(i: int, acc: int) -> None:
@@ -220,8 +274,12 @@ def _config_sum(spec: LieSpec, factors: FactorList, nvec: tuple[int, ...]) -> in
         if i == rank:
             total += acc
             return
+        bounded = i not in ready_at[i]
         for nu in options[i]:
             chosen[i] = nu
+            tables[i] = own = _min_sums(nu)
+            if bounded and _falls_negative(lengths[i], own, bonds[i], tables):
+                continue
             branch = acc
             for k in ready_at[i]:
                 f = _node_factor(spec, factors, chosen, k)
@@ -231,6 +289,7 @@ def _config_sum(spec: LieSpec, factors: FactorList, nvec: tuple[int, ...]) -> in
                 branch *= f
             if branch:
                 rec(i + 1, branch)
+        tables[i] = (0, nvec[i])
 
     rec(0, 1)
     return total

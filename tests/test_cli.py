@@ -206,6 +206,10 @@ def _expansion_rows(terms, prefix=""):
     return [[prefix + _cells(t["partition"]), t["coeff"]] for t in terms]
 
 
+def _beta_rows(payload):
+    return [[_cells(r["label"]), _cells(r["alpha"])] for r in payload["roots"]] or [["(none)"]]
+
+
 def _solution_rows(payload):
     return [[_cells(s)] for s in payload["solutions"]] or [["(none)"]]
 
@@ -247,10 +251,8 @@ TSV_CASES = {
         ["fermionic", "B", "3", "--factor", "1,2", "--factor", "1,1", "--weight", "1@rank=3"],
         lambda j: [[_cells(j["weight"]), j["multiplicity"]]],
     ),
-    "roots-beta": (
-        ["roots", "beta", "C", "4"],
-        lambda j: [[_cells(r["label"]), _cells(r["alpha"])] for r in j["roots"]],
-    ),
+    "roots-beta": (["roots", "beta", "C", "4"], _beta_rows),
+    "roots-beta-none": (["roots", "beta", "B", "2"], _beta_rows),
     "roots-commute": (
         ["roots", "commute", "B", "5"],
         lambda j: [["beta_count", j["beta_count"]]]

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from itertools import combinations_with_replacement, product
-from math import comb, floor
+from math import comb, floor, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from lrwkit.classical import UNIVERSAL_FAMILY, family_decomposition, min_stable_rank
 from lrwkit.fermionic import (
     FactorList,
+    _config_sum,
     _node_factor,
+    _partitions_list,
     alpha_coords,
     fermionic_decomp,
     fermionic_multiplicity,
@@ -326,22 +328,27 @@ class TestDecomp:
                 assert mult > 0
 
 
+def dominant_box(spec, factors):
+    """(root coordinates, weight coefficients) of every dominant weight in the top weight's box."""
+    rank = spec.rank
+    top = FactorList(tuple(factors)).top_weight(rank).coeffs
+    c = cartan_matrix(spec)
+    cols = [[(j, c[j][k]) for j in range(rank) if c[j][k]] for k in range(rank)]
+    box = [floor(f) for f in root_coords_of_weight_vector(spec, top)]
+    for nvec in product(*(range(b + 1) for b in box)):
+        coeffs = [top[k] - sum(nvec[j] * x for j, x in cols[k]) for k in range(rank)]
+        if min(coeffs) >= 0:
+            yield nvec, coeffs
+
+
 def brute_force_decomp(spec, factors):
     """Walk the whole root-coordinate box and sum every dominant candidate."""
-    rank = spec.rank
-    top = FactorList(tuple(factors)).top_weight(rank)
-    c = cartan_matrix(spec)
-    box = [floor(f) for f in root_coords_of_weight_vector(spec, top.coeffs)]
     out = {}
-    for nvec in product(*(range(b + 1) for b in box)):
-        coeffs = [
-            top.coeffs[k] - sum(nvec[j] * c[j][k] for j in range(rank))
-            for k in range(rank)
-        ]
-        if min(coeffs) >= 0:
-            mult = fermionic_multiplicity(spec, factors, w(coeffs, rank))
-            if mult:
-                out[w(coeffs, rank)] = mult
+    for _, coeffs in dominant_box(spec, factors):
+        lam = w(coeffs, spec.rank)
+        mult = fermionic_multiplicity(spec, factors, lam)
+        if mult:
+            out[lam] = mult
     return out
 
 
@@ -361,6 +368,61 @@ def test_pruned_scan_matches_full_box(family, rank, factors):
     # sweep vs. the configuration-sum walk; the C case puts a factor on the stretched node
     spec = LieSpec(family, rank)
     assert fermionic_decomp(spec, factors) == brute_force_decomp(spec, factors)
+
+
+def unpruned_config_sum(spec, factors, nvec):
+    # every configuration, each the product of its node factors: no branch is cut
+    total = 0
+    for nus in product(*(_partitions_list(x) for x in nvec)):
+        term = 1
+        for k in range(spec.rank):
+            term *= _node_factor(spec, factors, nus, k)
+            if not term:
+                break
+        total += term
+    return total
+
+
+def small_factor_lists(spec):
+    # single factors with m <= 3 and pairs with m1 + m2 <= 3, each with at
+    # most 1,000 points in its root-coordinate box, so every configuration
+    # can be summed
+    singles = [(m, node) for m in (1, 2, 3) for node in range(1, spec.rank + 1)]
+    lists = [[f] for f in singles]
+    lists += [[f, g] for f, g in combinations_with_replacement(singles, 2) if f[0] + g[0] <= 3]
+    return [factors for factors in lists if box_points(spec, factors) <= 1000]
+
+
+def box_points(spec, factors):
+    top = FactorList(tuple(factors)).top_weight(spec.rank).coeffs
+    return prod(floor(f) + 1 for f in root_coords_of_weight_vector(spec, top))
+
+
+@pytest.mark.parametrize(
+    "family,rank", [(f, r) for f in "BC" for r in (3, 4, 5)] + [("D", 4), ("D", 5)]
+)
+def test_config_sum_matches_unpruned_sum(family, rank):
+    # the column bound cuts only branches that sum to 0, so the pruned sum is
+    # exact at every dominant weight of the box, zero multiplicities included
+    spec = LieSpec(family, rank)
+    seen = Counter()
+    for factors in small_factor_lists(spec):
+        fl = FactorList(tuple(factors))
+        for nvec, _ in dominant_box(spec, factors):
+            want = unpruned_config_sum(spec, fl, nvec)
+            assert _config_sum(spec, fl, nvec) == want, (factors, nvec)
+            seen[want > 0] += 1
+    assert min(seen[False], seen[True]) >= 10, seen
+
+
+@pytest.mark.parametrize("family,rank,factors", [("B", 7, [(3, 4)]), ("D", 7, [(4, 3)])])
+def test_point_queries_match_sweep_on_rectangles(family, rank, factors):
+    # the configuration sum at every component: the largest point queries,
+    # where the column bound cuts the most
+    spec = LieSpec(family, rank)
+    decomp = fermionic_decomp(spec, factors)
+    for lam, mult in decomp.items():
+        assert fermionic_multiplicity(spec, factors, lam) == mult, lam
 
 
 @st.composite
