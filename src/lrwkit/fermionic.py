@@ -14,18 +14,21 @@ to the longest row (|nu| beyond it), and ``lie.couplings(spec)`` lists each
 node's neighbours with their (a, b). A coupling reads s[n] for (1, 1), s[2n]
 for (2, 1), and s[floor(n/2)] + s[ceil(n/2)] for (1, 2), since
 min(n, 2h) = min(floor(n/2), h) + min(ceil(n/2), h). ``_vacancy_at`` makes
-these reads for ``vacancy`` and for the column bound below.
+these reads for ``vacancy`` and for the sign tests below.
 
 ``fermionic_multiplicity`` sums configurations for one weight (``_config_sum``),
 fixing whole partitions in node index order, the only search that still does.
-Each node factor settles once the node and its Dynkin neighbours are fixed
-(``_ready_at``), where a zero factor cuts the branch; it scans row sizes only
-up to the longest row of nu_k (see ``_node_factor``). A node fixed before a
-neighbour is bounded at once: the neighbour stands in as the single column
+Fixing a node moves the vacancy numbers of the nodes whose Dynkin neighbours
+are now all fixed (``_ready_at``) and of the node itself, and
+``_falls_negative`` decides every cut on them: exactly for a ready node, and
+for a node fixed before a neighbour j with j standing in as the single column
 1^{n_j}, which gives each coupling term its largest value, so a negative
-vacancy number there cuts only branches that sum to 0. ``fermionic_decomp``
-grows all partitions one column at a time instead (Kleber's algorithm), so
-every path is one nonzero configuration; the configuration sum is its oracle.
+vacancy number there cuts only branches that sum to 0. ``_node_factor`` runs
+only on a branch that passed every test, so it only multiplies. Both scan row
+sizes only up to the node's longest row (see ``_node_factor``).
+``fermionic_decomp`` grows all partitions one column at a time instead
+(Kleber's algorithm), so every path is one nonzero configuration; the
+configuration sum is its oracle.
 """
 
 from __future__ import annotations
@@ -193,6 +196,9 @@ def vacancy(
     """The vacancy number controlling the binomial at (node, row size n).
 
     nus holds one partition per node, each a Partition or a tuple of parts.
+    Every entry is checked, read or not: a tuple through its ``_min_sums``
+    table (so each distinct tuple once), a Partition not at all, since it was
+    validated when built.
     """
     factors = _coerce_factors(factors)
     if not 1 <= node <= spec.rank:
@@ -203,6 +209,9 @@ def vacancy(
         raise ValueError(
             f"configuration has {len(nus)} partitions, spec rank is {spec.rank}"
         )
+    for nu in nus:
+        if type(nu) is not Partition:
+            _min_sums(nu)
     k = node - 1
     bonds = couplings(spec)[k]
     return _vacancy_at(
@@ -250,13 +259,17 @@ def _node_factor(
 def _config_sum(spec: LieSpec, factors: FactorList, nvec: tuple[int, ...]) -> int:
     """Sum of binomial products over all configurations for fixed coordinates.
 
-    Partitions are fixed in node index order. A node whose neighbours are all
-    fixed gets its exact factor (``_node_factor``), and a zero cuts the branch.
-    A node fixed before some neighbour j is first checked with each such j
-    standing in as the single column 1^{n_j}: since min(a*n, b*h) <=
-    h*min(a*n, b), that column gives every coupling term its largest value
-    over the partitions of n_j, so a negative vacancy number in the scan of
-    ``_node_factor`` means that node factor is 0 in every completion.
+    Partitions are fixed in node index order. Fixing node i moves the vacancy
+    numbers of the nodes in ``ready_at[i]``, whose neighbours are now all
+    fixed, and of node i itself, and ``_falls_negative`` tests all of them,
+    ready nodes first, before any factor is computed. A ready node is tested
+    exactly: the same ``_vacancy_at`` terms over the same row sizes as the
+    sign test of ``_node_factor``. Node i, if a neighbour j is still unfixed,
+    is tested with j standing in as the single column 1^{n_j}: since
+    min(a*n, b*h) <= h*min(a*n, b), that column gives every coupling term its
+    largest value over the partitions of n_j, so a negative vacancy number
+    means node i's factor is 0 in every completion. Every cut is made by these
+    tests, so ``_node_factor`` never returns 0 here: it only multiplies.
     """
     _check_depth(spec)
     rank = spec.rank
@@ -274,20 +287,18 @@ def _config_sum(spec: LieSpec, factors: FactorList, nvec: tuple[int, ...]) -> in
         if i == rank:
             total += acc
             return
-        bounded = i not in ready_at[i]
+        ready = ready_at[i]
+        tested = ready if i in ready else [*ready, i]
         for nu in options[i]:
             chosen[i] = nu
-            tables[i] = own = _min_sums(nu)
-            if bounded and _falls_negative(lengths[i], own, bonds[i], tables):
-                continue
-            branch = acc
-            for k in ready_at[i]:
-                f = _node_factor(spec, factors, chosen, k)
-                if f == 0:
-                    branch = 0
+            tables[i] = _min_sums(nu)
+            for k in tested:
+                if _falls_negative(lengths[k], tables[k], bonds[k], tables):
                     break
-                branch *= f
-            if branch:
+            else:
+                branch = acc
+                for k in ready:
+                    branch *= _node_factor(spec, factors, chosen, k)
                 rec(i + 1, branch)
         tables[i] = (0, nvec[i])
 
@@ -364,8 +375,11 @@ def fermionic_decomp(
         for h in (prev,) if t % 2 and gamma[i] == 2 else range(prev + 1):
             nxt[i] = h
             for k in ready_at[i]:
-                q[k] = p[k] + f[k] - 2 * nxt[k] + sum(a * nxt[j] for j, a, _ in bonds[k])
-                if q[k] < 0:
+                x = p[k] + f[k] - 2 * nxt[k]
+                for j, a, _ in bonds[k]:
+                    x += a * nxt[j]
+                q[k] = x
+                if x < 0:
                     break
             else:
                 m = prev - h

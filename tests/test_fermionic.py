@@ -6,6 +6,7 @@ from math import comb, floor, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lrwkit import fermionic
 from lrwkit.classical import UNIVERSAL_FAMILY, family_decomposition, min_stable_rank
 from lrwkit.fermionic import (
     FactorList,
@@ -173,6 +174,14 @@ class TestVacancy:
             vacancy(spec, [(1, 2)], ((1,), (1, 2), (2,)), 2, 1)
         with pytest.raises(TypeError):
             vacancy(spec, [(1, 2)], ((1,), [1, 1], (2,)), 2, 1)
+        # entries the vacancy number at the node does not read are checked too
+        with pytest.raises(ValueError):
+            vacancy(spec, [(1, 2)], ((1,), (1,), (1, 3)), 1, 1)
+        for k in range(3):
+            nus = [(1,), (1,), (1,)]
+            nus[k] = [1]
+            with pytest.raises(TypeError):
+                vacancy(spec, [(1, 2)], tuple(nus), 1, 1)
 
     def test_tables_match_literal_sums(self):
         rng = random.Random(20261018)
@@ -401,10 +410,19 @@ def box_points(spec, factors):
 @pytest.mark.parametrize(
     "family,rank", [(f, r) for f in "BC" for r in (3, 4, 5)] + [("D", 4), ("D", 5)]
 )
-def test_config_sum_matches_unpruned_sum(family, rank):
+def test_config_sum_matches_unpruned_sum(family, rank, monkeypatch):
     # the column bound cuts only branches that sum to 0, so the pruned sum is
-    # exact at every dominant weight of the box, zero multiplicities included
+    # exact at every dominant weight of the box, zero multiplicities included;
+    # the sign tests make every cut, so no node factor computed there is 0
     spec = LieSpec(family, rank)
+    factor_values = Counter()
+
+    def counted_node_factor(*args):
+        f = _node_factor(*args)
+        factor_values[f == 0] += 1
+        return f
+
+    monkeypatch.setattr(fermionic, "_node_factor", counted_node_factor)
     seen = Counter()
     for factors in small_factor_lists(spec):
         fl = FactorList(tuple(factors))
@@ -413,12 +431,16 @@ def test_config_sum_matches_unpruned_sum(family, rank):
             assert _config_sum(spec, fl, nvec) == want, (factors, nvec)
             seen[want > 0] += 1
     assert min(seen[False], seen[True]) >= 10, seen
+    assert factor_values[True] == 0 and factor_values[False] > 0, factor_values
 
 
-@pytest.mark.parametrize("family,rank,factors", [("B", 7, [(3, 4)]), ("D", 7, [(4, 3)])])
+@pytest.mark.parametrize(
+    "family,rank,factors", [("B", 7, [(3, 4)]), ("D", 7, [(4, 3)]), ("C", 5, [(2, 5)])]
+)
 def test_point_queries_match_sweep_on_rectangles(family, rank, factors):
     # the configuration sum at every component: the largest point queries,
-    # where the column bound cuts the most
+    # where the column bound cuts the most; the C case puts its factor on the
+    # long node n
     spec = LieSpec(family, rank)
     decomp = fermionic_decomp(spec, factors)
     for lam, mult in decomp.items():
