@@ -36,6 +36,7 @@ from .partitions import (
     size,
     weight_from_partition,
 )
+from .tableaux import lr_coefficient
 
 DEFAULT_MAX_BOXES = 10
 # The commutation check scans every ordered pair of distinguished roots. Near
@@ -219,8 +220,6 @@ def _cmd_lr(args: argparse.Namespace) -> Answer:
     mu = parse_partition(args.mu)
     nu = parse_partition(args.nu)
     _check_cap(size(lam), args.max_boxes, "coefficient")
-    from .tableaux import lr_coefficient
-
     c = lr_coefficient(lam, mu, nu)
     payload = {"lam": list(lam), "mu": list(mu), "nu": list(nu), "coefficient": c}
     return [payload], lambda j: [[j["coefficient"]]], None

@@ -34,10 +34,10 @@ configuration sum is its oracle.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb, floor
-from operator import sub
+from operator import index, sub
 from typing import Iterable, Sequence
 
 from .lie import (
@@ -51,23 +51,21 @@ from .lie import (
 from .partitions import DominantWeight, Partition, partitions_of
 
 
-@dataclass(frozen=True)
-class FactorList:
+class FactorList(namedtuple("FactorList", "factors")):
     """Tensor factors, each a positive multiplicity on one Dynkin node (1-indexed)."""
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "factors", tuple((int(m), int(node)) for m, node in self.factors)
-        )
-        if not self.factors:
+    def __new__(cls, factors: Iterable[tuple[int, int]]) -> "FactorList":
+        factors = tuple((index(m), index(node)) for m, node in factors)
+        if not factors:
             raise ValueError("factor list must be nonempty")
-        for m, node in self.factors:
+        for m, node in factors:
             if m < 1:
                 raise ValueError(f"factor multiplicity must be positive: {m}")
             if node < 1:
                 raise ValueError(f"node index must be positive: {node}")
+        return super().__new__(cls, factors)
 
     def check_rank(self, rank: int) -> None:
         for _, node in self.factors:
@@ -85,7 +83,7 @@ class FactorList:
 def _coerce_factors(factors: FactorList | Iterable[tuple[int, int]]) -> FactorList:
     if isinstance(factors, FactorList):
         return factors
-    return FactorList(tuple(factors))
+    return FactorList(factors)
 
 
 def _check_depth(spec: LieSpec) -> None:

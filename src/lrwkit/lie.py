@@ -13,30 +13,29 @@ and ``MIN_RANK``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from operator import index
 
 # D starts at rank 4, where its fork has two end nodes.
 MIN_RANK = {"A": 2, "B": 2, "C": 2, "D": 4}
 
 
-@dataclass(frozen=True)
-class LieSpec:
+class LieSpec(namedtuple("LieSpec", "family rank")):
     """A classical family letter plus a rank."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in MIN_RANK:
-            raise ValueError(f"family must be one of {tuple(MIN_RANK)}, got {self.family!r}")
-        minimum = MIN_RANK[self.family]
-        if self.rank < minimum:
-            raise ValueError(
-                f"rank {self.rank} too small for type {self.family} (need >= {minimum})"
-            )
+    def __new__(cls, family: str, rank: int) -> "LieSpec":
+        if family not in MIN_RANK:
+            raise ValueError(f"family must be one of {tuple(MIN_RANK)}, got {family!r}")
+        rank = index(rank)
+        minimum = MIN_RANK[family]
+        if rank < minimum:
+            raise ValueError(f"rank {rank} too small for type {family} (need >= {minimum})")
+        return super().__new__(cls, family, rank)
 
 
 def cartan_matrix(spec: LieSpec) -> tuple[tuple[int, ...], ...]:

@@ -16,7 +16,7 @@ inverse, ``lie._to_orthogonal``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import chain
 from operator import add, mul, sub
@@ -68,8 +68,7 @@ def _beta_weight(n: int, k: int, l: int) -> list[int]:
     return list(map(sub, v, v[1:]))
 
 
-@dataclass(frozen=True)
-class BetaSet:
+class BetaSet(namedtuple("BetaSet", "spec labels roots l_max")):
     """The ordered distinguished roots with their (k, l) labels.
 
     Labels are ordered lexicographically; l_max is the largest admissible
@@ -77,10 +76,7 @@ class BetaSet:
     one past the construction's natural range).
     """
 
-    spec: LieSpec
-    labels: tuple[tuple[int, int], ...]
-    roots: tuple[RootLatticeElement, ...]
-    l_max: int
+    __slots__ = ()
 
     def to_jsonable(self) -> dict:
         return {

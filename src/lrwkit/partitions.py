@@ -6,8 +6,8 @@ on exact integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import le
+from collections import namedtuple
+from operator import index, le
 from typing import Iterable, Iterator
 
 
@@ -24,7 +24,7 @@ class Partition(tuple):
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
         if type(parts) is Partition:
             return parts
-        cleaned = [int(p) for p in parts]
+        cleaned = [index(p) for p in parts]
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
         if cleaned and cleaned[-1] < 0:
@@ -44,48 +44,38 @@ class Partition(tuple):
 EMPTY = Partition()
 
 
-@dataclass(frozen=True)
-class DominantWeight:
+class DominantWeight(namedtuple("DominantWeight", "coeffs rank")):
     """Nonnegative coefficients on the fundamental weights of a rank-n algebra.
 
     The rank is explicit data: the same partition denotes different weights at
     different ranks, so it is never inferred.
     """
 
-    coeffs: tuple[int, ...]
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(map(int, self.coeffs)))
-        if self.rank < 1:
-            raise ValueError(f"rank must be positive: {self.rank}")
-        if len(self.coeffs) != self.rank:
-            raise ValueError(
-                f"expected {self.rank} coefficients, got {len(self.coeffs)}"
-            )
-        if any(c < 0 for c in self.coeffs):
-            raise ValueError(f"coefficients must be nonnegative: {self.coeffs}")
-
-    def to_jsonable(self) -> list[int]:
-        return list(self.coeffs)
+    def __new__(cls, coeffs: Iterable[int], rank: int) -> "DominantWeight":
+        coeffs = tuple(map(index, coeffs))
+        rank = index(rank)
+        if rank < 1:
+            raise ValueError(f"rank must be positive: {rank}")
+        if len(coeffs) != rank:
+            raise ValueError(f"expected {rank} coefficients, got {len(coeffs)}")
+        if any(c < 0 for c in coeffs):
+            raise ValueError(f"coefficients must be nonnegative: {coeffs}")
+        return super().__new__(cls, coeffs, rank)
 
 
-@dataclass(frozen=True)
-class RootLatticeElement:
+class RootLatticeElement(namedtuple("RootLatticeElement", "coords rank")):
     """Integer coefficients on the simple roots of a rank-n algebra."""
 
-    coords: tuple[int, ...]
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(map(int, self.coords)))
-        if len(self.coords) != self.rank:
-            raise ValueError(
-                f"expected {self.rank} coordinates, got {len(self.coords)}"
-            )
-
-    def to_jsonable(self) -> list[int]:
-        return list(self.coords)
+    def __new__(cls, coords: Iterable[int], rank: int) -> "RootLatticeElement":
+        coords = tuple(map(index, coords))
+        rank = index(rank)
+        if len(coords) != rank:
+            raise ValueError(f"expected {rank} coordinates, got {len(coords)}")
+        return super().__new__(cls, coords, rank)
 
 
 def size(p: Partition) -> int:

@@ -10,24 +10,23 @@ and in the top degree of the `stable-coefficient-suite` verify check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from operator import index
 from typing import Sequence
 
 from .partitions import Partition, contains, size
 
 
-@dataclass(frozen=True)
-class SkewShape:
+class SkewShape(namedtuple("SkewShape", "outer inner")):
     """A skew Young diagram outer/inner; inner must fit inside outer."""
 
-    outer: Partition
-    inner: Partition
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not contains(self.outer, self.inner):
-            raise ValueError(
-                f"inner {list(self.inner)} does not fit inside outer {list(self.outer)}"
-            )
+    def __new__(cls, outer: Sequence[int], inner: Sequence[int]) -> "SkewShape":
+        outer, inner = Partition(outer), Partition(inner)
+        if not contains(outer, inner):
+            raise ValueError(f"inner {list(inner)} does not fit inside outer {list(outer)}")
+        return super().__new__(cls, outer, inner)
 
     def row_span(self, i: int) -> tuple[int, int]:
         """Half-open column range of the cells in row i."""
@@ -35,40 +34,32 @@ class SkewShape:
         return lo, self.outer[i]
 
 
-@dataclass(frozen=True)
-class SkewTableau:
+class SkewTableau(namedtuple("SkewTableau", "shape entries")):
     """A filling of a skew shape, weakly increasing in rows, strict in columns."""
 
-    shape: SkewShape
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries", tuple(tuple(int(v) for v in row) for row in self.entries)
-        )
-        outer = self.shape.outer
-        if len(self.entries) != len(outer):
-            raise ValueError(
-                f"expected {len(outer)} rows of entries, got {len(self.entries)}"
-            )
-        for i, row in enumerate(self.entries):
-            lo, hi = self.shape.row_span(i)
+    def __new__(cls, shape: SkewShape, entries: Sequence[Sequence[int]]) -> "SkewTableau":
+        entries = tuple(tuple(map(index, row)) for row in entries)
+        if len(entries) != len(shape.outer):
+            raise ValueError(f"expected {len(shape.outer)} rows of entries, got {len(entries)}")
+        for i, row in enumerate(entries):
+            lo, hi = shape.row_span(i)
             if len(row) != hi - lo:
                 raise ValueError(f"row {i} must have {hi - lo} entries, got {len(row)}")
             if any(v < 1 for v in row):
                 raise ValueError(f"entries must be positive: row {i} = {row}")
             if any(a > b for a, b in zip(row, row[1:])):
                 raise ValueError(f"row {i} is not weakly increasing: {row}")
-        for i in range(1, len(self.entries)):
-            lo, hi = self.shape.row_span(i)
-            alo, ahi = self.shape.row_span(i - 1)
-            for j in range(lo, hi):
-                if alo <= j < ahi:
-                    if self.entries[i][j - lo] <= self.entries[i - 1][j - alo]:
-                        raise ValueError(
-                            f"column {j} is not strictly increasing between "
-                            f"rows {i - 1} and {i}"
-                        )
+        for i in range(1, len(entries)):
+            lo, hi = shape.row_span(i)
+            alo, ahi = shape.row_span(i - 1)
+            for j in range(max(lo, alo), min(hi, ahi)):
+                if entries[i][j - lo] <= entries[i - 1][j - alo]:
+                    raise ValueError(
+                        f"column {j} is not strictly increasing between rows {i - 1} and {i}"
+                    )
+        return super().__new__(cls, shape, entries)
 
 
 def reverse_row_word(t: SkewTableau) -> tuple[int, ...]:

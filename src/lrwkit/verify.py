@@ -7,7 +7,7 @@ pass/fail line; the report is deterministic and JSON-serializable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable
 
 from . import classical, closed_forms, fermionic, looproot, schur, tableaux
@@ -30,12 +30,8 @@ QUICK = "quick"
 FULL = "full"
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    expected: str
-    actual: str
+class CheckResult(namedtuple("CheckResult", "name passed expected actual")):
+    __slots__ = ()
 
     def to_jsonable(self) -> dict:
         return {
@@ -46,10 +42,8 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    level: str
-    checks: tuple[CheckResult, ...]
+class VerifyReport(namedtuple("VerifyReport", "level checks")):
+    __slots__ = ()
 
     @property
     def passed(self) -> int:
@@ -105,7 +99,7 @@ def _check_weight_dictionary() -> CheckResult:
 def _check_tableau_counts() -> CheckResult:
     lam = Partition([3, 2, 1])
     counts = tuple(
-        len(tableaux.enumerate_lr_tableaux(tableaux.SkewShape(lam, Partition(nu))))
+        len(tableaux.enumerate_lr_tableaux(tableaux.SkewShape(lam, nu)))
         for nu in ((), (1, 1), (2, 2))
     )
     return _result("tableau-counts-321", (1, 3, 2), counts)
@@ -113,7 +107,7 @@ def _check_tableau_counts() -> CheckResult:
 
 def _check_first_tableau_word() -> CheckResult:
     lam = Partition([3, 2, 1])
-    t = tableaux.enumerate_lr_tableaux(tableaux.SkewShape(lam, Partition()))[0]
+    t = tableaux.enumerate_lr_tableaux(tableaux.SkewShape(lam, ()))[0]
     word = tableaux.reverse_row_word(t)
     return _result(
         "reverse-row-word",

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -426,7 +425,7 @@ class TestCommute:
         # root lands on an earlier one, which the check must report.
         spec = LieSpec(family, 6)
         bset = beta_roots(spec)
-        reversed_set = replace(bset, labels=bset.labels[::-1], roots=bset.roots[::-1])
+        reversed_set = bset._replace(labels=bset.labels[::-1], roots=bset.roots[::-1])
         monkeypatch.setattr(looproot, "beta_roots", lambda _spec: reversed_set)
         report = commute_check(spec)
         assert report == commute_oracle(spec)
