@@ -20,6 +20,8 @@ See the demos/ directory for narrative walkthroughs and the ``lrwkit``
 command for the CLI.
 """
 
+from types import ModuleType as _ModuleType
+
 from .classical import (
     FamilyDecomposition,
     branch_schur,
@@ -95,67 +97,7 @@ from .verify import VerifyReport, run_verify_suite
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BetaSet",
-    "DominantWeight",
-    "Expansion",
-    "FactorList",
-    "FamilyDecomposition",
-    "H_MONOMIAL",
-    "LieSpec",
-    "ORTHOGONAL",
-    "Partition",
-    "RootLatticeElement",
-    "SCHUR",
-    "SYMPLECTIC",
-    "SkewShape",
-    "SkewTableau",
-    "VerifyReport",
-    "alpha_coords",
-    "beta_roots",
-    "branch_schur",
-    "cartan_matrix",
-    "closed_form_heights24",
-    "closed_form_rectangle",
-    "closed_form_three_row",
-    "commute_check",
-    "cone_membership",
-    "conjugate",
-    "contains",
-    "content",
-    "enumerate_lr_tableaux",
-    "even_column_heights",
-    "even_row_lengths",
-    "family_decomposition",
-    "fermionic_decomp",
-    "fermionic_multiplicity",
-    "h_monomial_to_schur",
-    "integer_root_coords",
-    "is_ballot",
-    "jacobi_trudi",
-    "lr_coefficient",
-    "min_stable_rank",
-    "mult",
-    "omega",
-    "partition_from_weight",
-    "partitions_of",
-    "partitions_up_to",
-    "positive_roots",
-    "rectangle_partition",
-    "reverse_row_word",
-    "run_verify_suite",
-    "schur_basis",
-    "schur_polynomial",
-    "size",
-    "skew",
-    "skew_schur_expand",
-    "stable_tensor_coefficient",
-    "stable_tensor_expansion",
-    "subpartitions",
-    "tensor_product_two_ways",
-    "to_schur",
-    "type_a_support",
-    "vacancy",
-    "weight_from_partition",
-    "weight_of_root_vector",
-]
+# Every public name bound above, and no submodule: a new name is added in one place.
+__all__ = sorted(
+    name for name, obj in globals().items() if name[0] != "_" and not isinstance(obj, _ModuleType)
+)

@@ -20,6 +20,7 @@ from .schur import (
     SYMPLECTIC,
     Expansion,
     _accumulate,
+    _linear,
     mult,
     schur_basis,
     skew_schur_expand,
@@ -122,20 +123,14 @@ def to_schur(a: Expansion) -> Expansion:
     """Rewrite a symplectic/orthogonal expansion in the Schur basis."""
     if a.basis not in FAMILIES:
         raise ValueError(f"expected a classical-basis expansion, got {a.basis}")
-    out: dict[Partition, int] = {}
-    for lam, c in a.terms.items():
-        _accumulate(out, _universal_in_schur(lam, a.basis).terms, c)
-    return Expansion(out, SCHUR)
+    return _linear(a, lambda lam: _universal_in_schur(lam, a.basis), SCHUR)
 
 
 def _branch_expansion(a: Expansion, target: str) -> Expansion:
     """Apply the restriction map to every key of a Schur expansion."""
     if a.basis != SCHUR:
         raise ValueError(f"expected a Schur expansion, got {a.basis}")
-    out: dict[Partition, int] = {}
-    for lam, c in a.terms.items():
-        _accumulate(out, branch_schur(lam, target).terms, c)
-    return Expansion(out, target)
+    return _linear(a, lambda lam: branch_schur(lam, target), target)
 
 
 @lru_cache(maxsize=None)
@@ -234,10 +229,9 @@ def tensor_product_two_ways(
     for kap, m1 in wm.terms.items():
         for kap2, m2 in wn.terms.items():
             _accumulate(lhs, stable_tensor_expansion(kap, kap2, family).terms, m1 * m2)
-    rhs: dict[Partition, int] = {}
-    for lam, c in mult(schur_basis(mu), schur_basis(nu)).terms.items():
-        _accumulate(rhs, family_decomposition(lam, family).terms, c)
-    return Expansion(lhs, family), Expansion(rhs, family)
+    prod = mult(schur_basis(mu), schur_basis(nu))
+    rhs = _linear(prod, lambda lam: family_decomposition(lam, family), family)
+    return Expansion(lhs, family), rhs
 
 
 def min_stable_rank(lam: Partition, lie_type: str) -> int:

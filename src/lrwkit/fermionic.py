@@ -34,7 +34,6 @@ configuration sum is its oracle.
 from __future__ import annotations
 
 import sys
-from collections import namedtuple
 from functools import lru_cache
 from math import comb, floor
 from operator import index, sub
@@ -48,15 +47,17 @@ from .lie import (
     root_lengths,
     weight_of_root_vector,
 )
-from .partitions import DominantWeight, Partition, partitions_of
+from .partitions import DominantWeight, Partition, _value_type, partitions_of
 
 
-class FactorList(namedtuple("FactorList", "factors")):
+class FactorList(_value_type("FactorList", "factors")):
     """Tensor factors, each a positive multiplicity on one Dynkin node (1-indexed)."""
 
     __slots__ = ()
 
     def __new__(cls, factors: Iterable[tuple[int, int]]) -> "FactorList":
+        if type(factors) is FactorList:  # validated when built
+            return factors
         factors = tuple((index(m), index(node)) for m, node in factors)
         if not factors:
             raise ValueError("factor list must be nonempty")
@@ -78,12 +79,6 @@ class FactorList(namedtuple("FactorList", "factors")):
         for m, node in self.factors:
             coeffs[node - 1] += m
         return DominantWeight(tuple(coeffs), rank)
-
-
-def _coerce_factors(factors: FactorList | Iterable[tuple[int, int]]) -> FactorList:
-    if isinstance(factors, FactorList):
-        return factors
-    return FactorList(factors)
 
 
 def _check_depth(spec: LieSpec) -> None:
@@ -116,7 +111,7 @@ def alpha_coords(
     (non-integral or negative coordinates), in which case its multiplicity
     is zero by convention.
     """
-    factors = _coerce_factors(factors)
+    factors = FactorList(factors)
     if lam.rank != spec.rank:
         raise ValueError(f"weight rank {lam.rank} does not match spec rank {spec.rank}")
     top = factors.top_weight(spec.rank)
@@ -198,7 +193,7 @@ def vacancy(
     table (so each distinct tuple once), a Partition not at all, since it was
     validated when built.
     """
-    factors = _coerce_factors(factors)
+    factors = FactorList(factors)
     if not 1 <= node <= spec.rank:
         raise ValueError(f"node {node} outside 1..{spec.rank}")
     if n < 1:
@@ -310,7 +305,7 @@ def fermionic_multiplicity(
     lam: DominantWeight,
 ) -> int:
     """Predicted multiplicity of the irreducible with highest weight lam."""
-    factors = _coerce_factors(factors)
+    factors = FactorList(factors)
     nvec = alpha_coords(spec, factors, lam)
     if nvec is None:
         return 0
@@ -343,7 +338,7 @@ def fermionic_decomp(
     The result is ordered by n, ascending.
     """
     _check_depth(spec)
-    factors = _coerce_factors(factors)
+    factors = FactorList(factors)
     rank = spec.rank
     top = factors.top_weight(rank)
     gamma = root_lengths(spec)

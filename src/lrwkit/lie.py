@@ -13,17 +13,18 @@ and ``MIN_RANK``.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import index
 
+from .partitions import _value_type
+
 # D starts at rank 4, where its fork has two end nodes.
 MIN_RANK = {"A": 2, "B": 2, "C": 2, "D": 4}
 
 
-class LieSpec(namedtuple("LieSpec", "family rank")):
+class LieSpec(_value_type("LieSpec", "family rank")):
     """A classical family letter plus a rank."""
 
     __slots__ = ()

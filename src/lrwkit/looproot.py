@@ -16,7 +16,6 @@ inverse, ``lie._to_orthogonal``.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 from itertools import chain
 from operator import add, mul, sub
@@ -24,7 +23,7 @@ from typing import Iterator
 
 from . import lie
 from .lie import LieSpec, couplings
-from .partitions import RootLatticeElement
+from .partitions import RootLatticeElement, _value_type
 
 
 def _orthogonal(n: int, *signed: int) -> list[int]:
@@ -68,7 +67,7 @@ def _beta_weight(n: int, k: int, l: int) -> list[int]:
     return list(map(sub, v, v[1:]))
 
 
-class BetaSet(namedtuple("BetaSet", "spec labels roots l_max")):
+class BetaSet(_value_type("BetaSet", "spec labels roots l_max")):
     """The ordered distinguished roots with their (k, l) labels.
 
     Labels are ordered lexicographically; l_max is the largest admissible

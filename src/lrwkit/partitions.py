@@ -44,7 +44,14 @@ class Partition(tuple):
 EMPTY = Partition()
 
 
-class DominantWeight(namedtuple("DominantWeight", "coeffs rank")):
+def _value_type(typename: str, field_names: str) -> type:
+    """A namedtuple base whose ``_make``, and so ``_replace``, validates through ``__new__``."""
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class DominantWeight(_value_type("DominantWeight", "coeffs rank")):
     """Nonnegative coefficients on the fundamental weights of a rank-n algebra.
 
     The rank is explicit data: the same partition denotes different weights at
@@ -65,7 +72,7 @@ class DominantWeight(namedtuple("DominantWeight", "coeffs rank")):
         return super().__new__(cls, coeffs, rank)
 
 
-class RootLatticeElement(namedtuple("RootLatticeElement", "coords rank")):
+class RootLatticeElement(_value_type("RootLatticeElement", "coords rank")):
     """Integer coefficients on the simple roots of a rank-n algebra."""
 
     __slots__ = ()

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, zip_longest
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .partitions import (
     EMPTY,
@@ -99,6 +99,14 @@ def _accumulate(
     """In-place out += c * terms; new keys are appended in the order of terms."""
     for p, k in terms.items():
         out[p] = out.get(p, 0) + c * k
+
+
+def _linear(a: Expansion, f: Callable[[Partition], Expansion], basis: str) -> Expansion:
+    """The linear extension of f to a, tagged with basis; keys in first-seen order."""
+    out: dict[Partition, int] = {}
+    for p, c in a.terms.items():
+        _accumulate(out, f(p).terms, c)
+    return Expansion(out, basis)
 
 
 def schur_basis(p: Partition | list[int] | tuple[int, ...]) -> Expansion:
@@ -203,10 +211,7 @@ def skew(a: Expansion, nu: Partition) -> Expansion:
     """Adjoint of multiplication by the basis element of nu, extended linearly."""
     if a.basis != SCHUR:
         raise ValueError(f"skew needs a Schur-tagged input, got {a.basis}")
-    out: dict[Partition, int] = {}
-    for lam, c in a.terms.items():
-        _accumulate(out, skew_schur_expand(lam, nu).terms, c)
-    return Expansion(out, SCHUR)
+    return _linear(a, lambda lam: skew_schur_expand(lam, nu), SCHUR)
 
 
 def omega(a: Expansion) -> Expansion:
@@ -273,10 +278,7 @@ def h_monomial_to_schur(a: Expansion) -> Expansion:
     """Re-expand an h-monomial expansion in the Schur basis."""
     if a.basis != H_MONOMIAL:
         raise ValueError(f"expected an h-monomial expansion, got {a.basis}")
-    out: dict[Partition, int] = {}
-    for key, c in a.terms.items():
-        _accumulate(out, _h_product(key).terms, c)
-    return Expansion(out, SCHUR)
+    return _linear(a, _h_product, SCHUR)
 
 
 def _column_strict_fillings(lam: Partition, num_vars: int) -> Iterator[list[int]]:

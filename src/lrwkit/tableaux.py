@@ -10,14 +10,13 @@ and in the top degree of the `stable-coefficient-suite` verify check.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from operator import index
 from typing import Sequence
 
-from .partitions import Partition, contains, size
+from .partitions import Partition, _value_type, contains, size
 
 
-class SkewShape(namedtuple("SkewShape", "outer inner")):
+class SkewShape(_value_type("SkewShape", "outer inner")):
     """A skew Young diagram outer/inner; inner must fit inside outer."""
 
     __slots__ = ()
@@ -34,7 +33,7 @@ class SkewShape(namedtuple("SkewShape", "outer inner")):
         return lo, self.outer[i]
 
 
-class SkewTableau(namedtuple("SkewTableau", "shape entries")):
+class SkewTableau(_value_type("SkewTableau", "shape entries")):
     """A filling of a skew shape, weakly increasing in rows, strict in columns."""
 
     __slots__ = ()

@@ -7,7 +7,6 @@ pass/fail line; the report is deterministic and JSON-serializable.
 from __future__ import annotations
 
 import json
-from collections import namedtuple
 from typing import Callable
 
 from . import classical, closed_forms, fermionic, looproot, schur, tableaux
@@ -16,6 +15,7 @@ from .partitions import (
     DominantWeight,
     Partition,
     RootLatticeElement,
+    _value_type,
     conjugate,
     contains,
     partition_from_weight,
@@ -30,7 +30,7 @@ QUICK = "quick"
 FULL = "full"
 
 
-class CheckResult(namedtuple("CheckResult", "name passed expected actual")):
+class CheckResult(_value_type("CheckResult", "name passed expected actual")):
     __slots__ = ()
 
     def to_jsonable(self) -> dict:
@@ -42,7 +42,7 @@ class CheckResult(namedtuple("CheckResult", "name passed expected actual")):
         }
 
 
-class VerifyReport(namedtuple("VerifyReport", "level checks")):
+class VerifyReport(_value_type("VerifyReport", "level checks")):
     __slots__ = ()
 
     @property

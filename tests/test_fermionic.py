@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lrwkit import fermionic
-from lrwkit.classical import UNIVERSAL_FAMILY, family_decomposition, min_stable_rank
+from lrwkit.classical import (
+    UNIVERSAL_FAMILY,
+    family_decomposition,
+    min_stable_rank,
+    stable_tensor_expansion,
+)
 from lrwkit.fermionic import (
     FactorList,
     _config_sum,
@@ -25,7 +30,13 @@ from lrwkit.lie import (
     integer_root_coords,
     root_coords_of_weight_vector,
 )
-from lrwkit.partitions import DominantWeight, Partition, weight_from_partition
+from lrwkit.partitions import (
+    EMPTY,
+    DominantWeight,
+    Partition,
+    partitions_up_to,
+    weight_from_partition,
+)
 from lrwkit.schur import mult, schur_basis
 from lrwkit.verify import fermionic_rectangle_agreement
 
@@ -511,6 +522,74 @@ def test_two_factor_decomp_matches_family_products(family, r1, r2):
             want[key] = want.get(key, 0) + c * mult_mu
     factors = [(r1[0], len(r1)), (r2[0], len(r2))]
     assert fermionic_decomp(LieSpec(family, rank), factors) == want
+
+
+def rectangle_lists():
+    # every list of 2-3 rectangles m^a, each of at most 6 boxes, at most 7 in all
+    rectangles = [(m, a) for a in range(1, 7) for m in range(1, 6 // a + 1)]
+    return [
+        factors
+        for count in (2, 3)
+        for factors in combinations_with_replacement(rectangles, count)
+        if sum(m * a for m, a in factors) <= 7
+    ]
+
+
+def stable_product(family_tag, factors):
+    # the product of the factors' family members, multiplied out with the
+    # stable tensor coefficients in the family's basis
+    prod = {EMPTY: 1}
+    for m, a in factors:
+        member = family_decomposition(Partition([m] * a), family_tag).terms
+        out = Counter()
+        for kap, c1 in prod.items():
+            for kap2, c2 in member.items():
+                for lam, c in stable_tensor_expansion(kap, kap2, family_tag).terms.items():
+                    out[lam] += c1 * c2 * c
+        prod = out
+    return prod
+
+
+@pytest.mark.parametrize("family", "BCD")
+def test_multi_factor_decomp_matches_stable_products(family):
+    # at a stable rank the tensor product of KR modules W^(a)_m decomposes as
+    # the product of the rectangles' family members: an oracle with no
+    # fermionic code; the rank is one (two on D) above the rows of all factors
+    family_tag = UNIVERSAL_FAMILY[family]
+    lists = rectangle_lists()
+    mismatches = []
+    for factors in lists:
+        rank = min_stable_rank(Partition([1] * sum(a for _, a in factors)), family)
+        want = {
+            weight_from_partition(mu, rank): c
+            for mu, c in stable_product(family_tag, factors).items()
+        }
+        if fermionic_decomp(LieSpec(family, rank), factors) != want:
+            mismatches.append(factors)
+    assert len(lists) == 76 and mismatches == []
+
+
+@pytest.mark.parametrize("family", "BCD")
+def test_family_member_is_bounded_by_its_kr_product(family):
+    # the family member of lam lies inside the tensor product of one KR module
+    # W^(a)_(m_a) per distinct column height a of lam, componentwise, and is
+    # all of it exactly when lam is a rectangle: the conjecture's necessary bound
+    family_tag = UNIVERSAL_FAMILY[family]
+    equal, rectangles = [], []
+    for lam in partitions_up_to(7):
+        if not lam:
+            continue
+        rank = min_stable_rank(lam, family)
+        coeffs = weight_from_partition(lam, rank).coeffs
+        kr = fermionic_decomp(LieSpec(family, rank), [(m, a) for a, m in enumerate(coeffs, 1) if m])
+        member = family_decomposition(lam, family_tag).terms
+        for mu, c in member.items():
+            assert c <= kr.get(weight_from_partition(mu, rank), 0), (lam, mu)
+        if {weight_from_partition(mu, rank): c for mu, c in member.items()} == kr:
+            equal.append(lam)
+        if len(set(lam)) == 1:
+            rectangles.append(lam)
+    assert len(rectangles) == 16 and equal == rectangles
 
 
 def rectangle_cases():

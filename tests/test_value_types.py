@@ -128,6 +128,22 @@ def test_read_only(sample):
             lambda: SkewTableau(SkewShape(Partition([2, 2]), Partition()), ((1, 2), (1, 3))),
             "column 0 is not strictly increasing between rows 0 and 1",
         ),
+        # _make and _replace build through the constructor, so they validate too
+        pytest.param(
+            lambda: LieSpec._make(("Z", 0)),
+            "family must be one of ('A', 'B', 'C', 'D'), got 'Z'",
+            id="LieSpec._make",
+        ),
+        pytest.param(
+            lambda: DominantWeight((1, 0), 2)._replace(rank=5),
+            "expected 5 coefficients, got 2",
+            id="DominantWeight._replace",
+        ),
+        pytest.param(
+            lambda: SkewShape._make(([1, 3], [])),
+            "parts must be weakly decreasing: [1, 3]",
+            id="SkewShape._make",
+        ),
     ],
 )
 def test_validation_message(build, message):
@@ -151,6 +167,18 @@ def test_validation_message(build, message):
 def test_non_integer_raises_type_error(build, bad):
     with pytest.raises(TypeError):
         build(bad)
+
+
+def test_make_and_replace_round_trip(sample):
+    cls, fields, _, x = sample
+    assert type(cls._make(x)) is cls and cls._make(x) == x
+    assert x._replace(**fields) == x
+
+
+def test_factor_list_returns_an_instance_passed_to_it():
+    factors = FactorList([(1, 2)])
+    assert FactorList(factors) is factors
+    assert fermionic_decomp(LieSpec("B", 3), factors) == fermionic_decomp(LieSpec("B", 3), [(1, 2)])
 
 
 def test_fermionic_decomp_refuses_fractional_multiplicity():
