@@ -60,6 +60,7 @@ from .partitions import (
     DominantWeight,
     Partition,
     RootLatticeElement,
+    clear_caches,
     conjugate,
     contains,
     partition_from_weight,

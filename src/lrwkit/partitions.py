@@ -1,11 +1,13 @@
 """Integer partitions, dominant weights, and the dictionary between them.
 
 All values are immutable and hashable; every operation is a pure function
-on exact integers.
+on exact integers. The layers above memoize such functions in unbounded
+``functools.lru_cache`` tables; `clear_caches` empties them all.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from operator import index, le
 from typing import Iterable, Iterator
@@ -176,3 +178,19 @@ def subpartitions(p: Partition) -> Iterator[Partition]:
             acc.pop()
 
     yield from rec(0, p[0] if p else 0, [])
+
+
+def clear_caches() -> None:
+    """Empty every ``lru_cache`` in the loaded lrwkit modules.
+
+    The caches are unbounded, so a long session holds every result it has
+    computed; this frees them. Results computed afterwards are equal to the
+    ones before. The caches are found by scanning each loaded module, so a new
+    one needs no registration.
+    """
+    prefix = __name__.rpartition(".")[0] + "."
+    for name, module in list(sys.modules.items()):
+        if name.startswith(prefix):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear") and hasattr(value, "__wrapped__"):
+                    value.cache_clear()

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from lrwkit import lie, looproot
+from lrwkit.classical import UNIVERSAL_FAMILY, family_decomposition, min_stable_rank
 from lrwkit.lie import MIN_RANK, LieSpec, cartan_matrix, integer_root_coords, weight_of_root_vector
 from lrwkit.looproot import (
     beta_roots,
@@ -11,7 +12,12 @@ from lrwkit.looproot import (
     positive_roots,
     type_a_support,
 )
-from lrwkit.partitions import RootLatticeElement
+from lrwkit.partitions import (
+    RootLatticeElement,
+    partitions_of,
+    subpartitions,
+    weight_from_partition,
+)
 
 
 def elem(coords):
@@ -317,6 +323,34 @@ class TestConeMembership:
         # e = (9, 9, 9, 9, 9, 3): the last coordinate lies beyond l_max = 5
         spec = LieSpec("C", 6)
         assert cone_membership(elem((9, 18, 27, 36, 45, 24)), spec) == []
+
+    @pytest.mark.parametrize(
+        "family, components, in_cone, gap",
+        [("B", 285, 338, 53), ("C", 285, 449, 164), ("D", 285, 338, 53)],
+    )
+    def test_family_components_lie_in_the_beta_cone(self, family, components, in_cone, gap):
+        # the paper's bound: every component mu of the family member lam, at
+        # the stable rank, has lam - mu in the cone of the distinguished roots.
+        # The counted pairs mu inside lam that the cone admits but the family
+        # lacks are the baseline a sharper bound would improve on.
+        def cone_admits(spec, lam, mu):
+            top = weight_from_partition(lam, spec.rank).coeffs
+            low = weight_from_partition(mu, spec.rank).coeffs
+            coords = integer_root_coords(spec, tuple(a - b for a, b in zip(top, low)))
+            return coords is not None and bool(cone_membership(elem(coords), spec))
+
+        outside, seen, admitted, missed = [], 0, 0, 0
+        for lam in (lam for n in range(1, 9) for lam in partitions_of(n)):
+            spec = LieSpec(family, min_stable_rank(lam, family))
+            terms = family_decomposition(lam, UNIVERSAL_FAMILY[family]).terms
+            seen += len(terms)
+            outside += [(lam, mu) for mu in terms if not cone_admits(spec, lam, mu)]
+            for mu in subpartitions(lam):
+                if cone_admits(spec, lam, mu):
+                    admitted += 1
+                    missed += mu not in terms
+        assert outside == []
+        assert (seen, admitted, missed) == (components, in_cone, gap)
 
 
 class TestCommute:

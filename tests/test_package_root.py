@@ -1,5 +1,7 @@
 """The package root loads every submodule and exports one sorted list of public names."""
 
+import ast
+import importlib
 import json
 import os
 import pathlib
@@ -66,8 +68,48 @@ def test_package_root():
     # perfbench wraps only loaded modules, so `import lrwkit` loads all nine
     assert report["loaded"] == SUBMODULES
     names = report["all"]
-    assert names == sorted(names) and len(names) == 62
+    assert names == sorted(names) and len(names) == 63
     assert names == report["imported"]
     assert not [n for n in names if n.startswith("_")] and report["modules"] == []
     # each resolves, by getattr and by `from lrwkit import`, to its submodule's object
     assert report["wrong"] == []
+
+
+def lru_cached_functions():
+    """Every module-level function under an lru_cache decorator, read from the source."""
+    found = {}
+    for name in SUBMODULES:
+        module = importlib.import_module("lrwkit." + name)
+        for node in ast.parse(pathlib.Path(module.__file__).read_text()).body:
+            if isinstance(node, ast.FunctionDef) and any(
+                "lru_cache" in ast.unparse(d) for d in node.decorator_list
+            ):
+                found[f"{name}.{node.name}"] = getattr(module, node.name)
+    return found
+
+
+def test_clear_caches_empties_every_cache():
+    caches = lru_cached_functions()
+    assert len(caches) == 13
+
+    def compute():
+        mu, nu = lrwkit.Partition([3, 2, 1]), lrwkit.Partition([2, 1])
+        spec = lrwkit.LieSpec("D", 5)
+        return (
+            lrwkit.mult(lrwkit.schur_basis(mu), lrwkit.schur_basis(nu)),
+            lrwkit.stable_tensor_expansion(mu, nu, lrwkit.SYMPLECTIC),
+            lrwkit.fermionic_decomp(spec, [(2, 2)]),
+            lrwkit.family_decomposition(mu, lrwkit.ORTHOGONAL),
+            lrwkit.h_monomial_to_schur(lrwkit.jacobi_trudi(mu)),
+            lrwkit.fermionic_multiplicity(spec, [(2, 2)], lrwkit.DominantWeight([0] * 5, 5)),
+            lrwkit.commute_check(spec),
+        )
+
+    def sizes():
+        return {name: cache.cache_info().currsize for name, cache in caches.items()}
+
+    before = compute()
+    assert all(sizes().values()), sizes()
+    lrwkit.clear_caches()
+    assert sizes() == dict.fromkeys(caches, 0)
+    assert compute() == before

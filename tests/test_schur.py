@@ -1,3 +1,4 @@
+import random
 from itertools import accumulate
 
 import pytest
@@ -92,11 +93,14 @@ class TestMult:
 
     def test_candidates_are_the_bounded_partitions(self):
         # every lam of |mu|+|nu| holding mu and nu, dominated by the row sums
-        # mu + nu, with at most len(mu) + len(nu) rows, in descending lex order
+        # mu + nu, with at most len(mu) + len(nu) rows and within Weyl's
+        # bounds lam_{i+j} <= mu_i + nu_j (0-indexed), in descending lex order
         parts = list(partitions_up_to(5))
         for mu in parts:
             for nu in parts:
                 sums = [a + b for a, b in zip(mu + (0,) * len(nu), nu + (0,) * len(mu))]
+                pad = len(mu) + len(nu)
+                m, v = mu + (0,) * pad, nu + (0,) * pad
                 want = [
                     tuple(lam)
                     for lam in partitions_of(size(mu) + size(nu))
@@ -104,6 +108,11 @@ class TestMult:
                     and contains(lam, nu)
                     and len(lam) <= len(mu) + len(nu)
                     and all(a <= b for a, b in zip(accumulate(lam), accumulate(sums)))
+                    and all(
+                        lam[i + j] <= m[i] + v[j]
+                        for i in range(len(lam))
+                        for j in range(len(lam) - i)
+                    )
                 ]
                 assert _lr_candidates(mu, nu) == want, (mu, nu)
 
@@ -119,6 +128,22 @@ class TestMult:
                     if c:
                         scan.append((lam, c))
                 assert list(_mult_basis(mu, nu).terms.items()) == scan, (mu, nu)
+
+    def test_product_matches_lr_coefficient_scan(self):
+        # every partition of |mu|+|nu| through lr_coefficient: all pairs of at
+        # most six boxes, and a seeded sample the size of the lr-ring inputs
+        # (7-10 boxes, at most 4 rows, parts at most 6)
+        def scan(mu, nu):
+            lams = partitions_of(size(mu) + size(nu))
+            return [(lam, c) for lam in lams if (c := lr_coefficient(lam, mu, nu))]
+
+        small = list(partitions_up_to(6))
+        pairs = [(mu, nu) for mu in small for nu in small]
+        large = [lam for n in range(7, 11) for lam in partitions_of(n, max_part=6, max_rows=4)]
+        rng = random.Random(27)
+        pairs += [(rng.choice(large), rng.choice(large)) for _ in range(12)]
+        for mu, nu in pairs:
+            assert list(_mult_basis(mu, nu).terms.items()) == scan(mu, nu), (mu, nu)
 
     def test_associative_exhaustive(self):
         parts = list(partitions_up_to(5))
@@ -237,6 +262,11 @@ class TestJacobiTrudi:
         with pytest.raises(ValueError):
             h_monomial_to_schur(schur_basis([2]))
 
+    @pytest.mark.parametrize("lam, nu", [((1, 2), ()), ((2, 1), (1, 2)), ((2, -1), ())])
+    def test_rejects_non_partitions(self, lam, nu):
+        with pytest.raises(ValueError):
+            jacobi_trudi(lam, nu)
+
 
 class TestSchurPolynomial:
     def test_one_box_two_vars(self):
@@ -244,6 +274,14 @@ class TestSchurPolynomial:
 
     def test_too_many_rows(self):
         assert schur_polynomial(Partition([1, 1, 1]), 2) == {}
+
+    @pytest.mark.parametrize("lam", [(1, 2), (2, -1)])
+    def test_rejects_non_partitions(self, lam):
+        with pytest.raises(ValueError):
+            schur_polynomial(lam, 2)
+
+    def test_trailing_zeros_name_the_same_partition(self):
+        assert schur_polynomial((2, 1, 0), 2) == schur_polynomial(Partition([2, 1]), 2)
 
     def test_row_two(self):
         assert schur_polynomial(Partition([2]), 2) == {
