@@ -6,8 +6,9 @@ exceeded. The two global options are the only settings: ``--max-boxes``
 inputs larger than the box cap instead of hanging; ``roots commute`` refuses
 ranks whose pairs of distinguished roots exceed COMMUTE_MAX_PAIRS, ``roots
 beta`` ranks whose roots have more than BETA_MAX_COORDS coordinates in all,
-and ``roots cone`` answers whose solutions times labels pass that same budget,
-as do a weight's rank (``part toweight`` and any ``@rank=``) and ``part
+and ``roots cone`` answers whose solutions times labels pass that same budget
+(its walk takes O(labels) steps per solution, so this bounds its time too), as
+do a weight's rank (``part toweight`` and any ``@rank=``) and ``part
 conjugate``'s box count, checked before anything of that length is built.
 
 Each command returns its JSON lines and ``_write`` alone prints them; a TSV

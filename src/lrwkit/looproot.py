@@ -161,8 +161,9 @@ def cone_membership(
     """All nonnegative integer combinations of the distinguished roots equal to diff.
 
     The full solution list (not just existence) feeds the multiplicity-bound
-    checks, in lexicographic order; see ``_cone_walk`` for the search.
-    Empty means the necessary condition for a nonzero multiplicity fails.
+    checks, in lexicographic order; see ``_cone_walk`` for the search, whose
+    time is O(labels) per solution. Empty means the necessary condition for a
+    nonzero multiplicity fails.
     """
     return list(_cone_walk(diff, spec))
 
@@ -170,19 +171,25 @@ def cone_membership(
 def _cone_walk(diff: RootLatticeElement, spec: LieSpec) -> Iterator[tuple[int, ...]]:
     """The solutions of ``cone_membership``, one at a time, in lexicographic order.
 
-    The search runs on the orthogonal coordinates of diff: label (k, l) takes
-    s units from coordinates k and l (2s from k when k = l), and coordinate k
-    must be used up by its last label. The walk keeps one amount per label and
-    steps (k, l) along with the label index, so neither the depth nor the
+    The search runs on the orthogonal coordinates eps of diff: label (k, l)
+    takes s units from coordinates k and l (2s from k when k = l), and row k,
+    the labels (k, *), must use up eps_k. The walk keeps one amount per label
+    and steps (k, l) along with the label index, so neither the depth nor the
     memory grows past the label count.
 
-    Coordinates left over once the ones before them are used up can be met by
-    all the roots e_i + e_j (plus 2e_i on C) among them, so they are met
-    exactly when they form the degree sequence of a multigraph (Hakimi 1962):
-    their sum is even and, without the loops 2e_i of C, the largest is at most
-    half the sum. A unit taken keeps the parity, so that is tested once; the
-    half-sum bound before the walk and at the end of every row on B and D.
-    Only branches without a solution are cut, so the order is kept.
+    Coordinates left over once the ones before them are used up are met by the
+    roots among them exactly when they form the degree sequence of a multigraph
+    (Hakimi 1962): their sum is even and, without the loops 2e_i of C, the
+    largest is at most half the sum. The tests before the walk make row 1
+    feasible. Row k, entered with x = eps_k and the partners' sum m, leaves
+    2c = m - x, so on B and D partner j must give at least f_j = max(0, eps_j - c);
+    on C the loops absorb any even rest and f_j = 0. The labels after (k, l)
+    in its row can take any total from F to M, the sums of f_j and eps_j over
+    the partners j > l, so label (k, l) takes exactly the s in
+    [max(f_l, ceil((x - M)/w)), min(eps_l, x - F)/w], one interval: x is what
+    is left of eps_k, w = 2 if k = l, else 1. Every such s leaves the next
+    interval non-empty, so every branch ends in a solution and the walk takes
+    O(labels) steps per solution.
     """
     if diff.rank != spec.rank:
         raise ValueError(f"rank mismatch: element {diff.rank} vs spec {spec.rank}")
@@ -193,41 +200,44 @@ def _cone_walk(diff: RootLatticeElement, spec: LieSpec) -> Iterator[tuple[int, .
         return
     if loopless and 2 * max(eps) > sum(eps):
         return
-    count = beta_count(spec)
-    if not count:  # B 2: the half-sum bound left only zeros
-        yield ()
-        return
-    coeffs = [0] * count
-    last = count - 1
-    idx, k, l, advance = 0, 1, 1 + gap, False  # (k, l) is label idx
-    while idx >= 0:  # depth-first over labels, amounts ascending: lexicographic
-        if advance:  # take one more unit at this label, or give all back and go up
-            if eps[l] and eps[k] > (k == l):
-                eps[k] -= 1
-                eps[l] -= 1
-                coeffs[idx] += 1
+    coeffs = [0] * beta_count(spec)
+    caps = [0] * (l_max + 1)  # caps[k] is row k's c; on C at least every eps_j, so f_j = 0
+    # (k, l) is label idx; m and f sum eps_j and f_j over the partners j > l
+    idx, k, l, c, m, f = -1, 0, l_max, 0, 0, 0
+    while True:
+        for idx in range(idx + 1, len(coeffs)):  # down: each label takes its least amount
+            if l == l_max:  # row k is used up: enter row k + 1 before its first label
+                k += 1
+                l = k + gap - 1
+                rest = eps[l + 1 :]  # on C eps_k too, taken off at the loop label
+                m = sum(rest)
+                c = caps[k] = (m - eps[k]) // 2 if loopless else m
+                f = sum(e - c for e in rest if e > c) if loopless and max(rest) > c else 0
+            l += 1
+            e = eps[l]
+            floor = e - c if e > c else 0
+            m, f = m - e, f - floor
+            lo = eps[k] - m if k < l else (eps[k] - m + 1) // 2  # ceil((x - M)/w)
+            coeffs[idx] = lo = lo if lo > floor else floor
+            eps[k] -= lo
+            eps[l] -= lo
+        yield tuple(coeffs)
+        # go up to the last label below the top of its interval
+        while idx >= 0 and not (eps[l] and eps[k] > f + (k == l)):
+            eps[k] += coeffs[idx]
+            eps[l] += coeffs[idx]
+            coeffs[idx] = 0
+            idx -= 1
+            if l > k + gap:
+                e = eps[l]
+                m, f, l = m + e, f + (e - c if e > c else 0), l - 1
             else:
-                eps[k] += coeffs[idx]
-                eps[l] += coeffs[idx]
-                coeffs[idx] = 0
-                idx -= 1
-                if l > k + gap:
-                    l -= 1
-                else:
-                    k, l = k - 1, l_max
-                continue
-        if l != l_max:
-            idx, l, advance = idx + 1, l + 1, False
-        elif eps[k]:  # (k, l_max) is the last label using e_k
-            advance = True
-        elif idx == last:
-            if not any(eps):
-                yield tuple(coeffs)
-            advance = True
-        elif loopless and 2 * max(eps) > sum(eps):  # e_k is used up: can the rest be met?
-            advance = True
-        else:
-            idx, k, l, advance = idx + 1, k + 1, k + 1 + gap, False
+                k, l, m, f, c = k - 1, l_max, 0, 0, caps[k - 1]
+        if idx < 0:
+            return
+        eps[k] -= 1  # one unit more at label idx
+        eps[l] -= 1
+        coeffs[idx] += 1
 
 
 def beta_count(spec: LieSpec) -> int:
@@ -248,8 +258,8 @@ def commute_check(spec: LieSpec) -> dict:
     wide enough for a pair sum minus a simple root, so a pair sum is an int
     add and "minus alpha_i" one subtraction. A row r is re-scanned over
     coordinate tuples (which fixes the order of the violation lists) only
-    when its keys meet a positive root: (i) and (ii) are set-disjointness
-    tests of the sums beta_r + beta_s, grouped by their alpha_n coefficient.
+    when its keys meet a positive root: (i) and (ii) are one set-disjointness
+    test of the sums beta_r + beta_s against each key set of one target list.
     """
     bset = beta_roots(spec)
     betas = [root.coords for root in bset.roots]
@@ -262,37 +272,25 @@ def commute_check(spec: LieSpec) -> dict:
     unit = [(4 * m + 3) ** i for i in range(n)]
     allowed_keys = {sum(map(mul, coords, unit)) for coords in allowed}
     beta_keys = [sum(map(mul, coords, unit)) for coords in betas]
-    by_last: dict[int, list[int]] = {}
-    for coords, k in zip(betas, beta_keys):
-        by_last.setdefault(coords[-1], []).append(k)
-    # Subtracting alpha_i for i < n keeps the alpha_n coefficient, so a sum whose
-    # alpha_n coefficient no positive root has can only reach one via alpha_n.
+    # A pair sum with alpha_n coefficient t can be a positive root, or one
+    # raised by alpha_i, only if some positive root has coefficient t (itself
+    # or i < n) or t - 1 (i = n). Every distinguished root has the same one (2
+    # on B, 1 on C and D), so one list of target key sets is exact for all rows.
     last_coeffs = {coords[-1] for coords in allowed}
-    # total - alpha_i is a positive root iff key(total) lies in raised_last
-    # (i = n) or raised_rest (i < n). targets[t] lists the key sets that a sum
-    # with alpha_n coefficient t can meet.
-    raised_last = {a + unit[-1] for a in allowed_keys}
-    raised_rest: set[int] = set()
-    targets: dict[int, list[set[int]]] = {}
-    for t in {c + d for c in by_last for d in by_last}:
-        targets[t] = []
-        if t in last_coeffs:
-            if not raised_rest:
-                raised_rest = {a + u for a in allowed_keys for u in unit[:-1]}
-            targets[t] += [allowed_keys, raised_rest]
-        if t - 1 in last_coeffs:
-            targets[t].append(raised_last)
+    lasts = {coords[-1] for coords in betas}
+    sums = {a + b for a in lasts for b in lasts}
+    targets = []
+    if sums & last_coeffs:
+        targets += [allowed_keys, {a + u for a in allowed_keys for u in unit[:-1]}]
+    if {t - 1 for t in sums} & last_coeffs:
+        targets.append({a + unit[-1] for a in allowed_keys})
     position = {k: p for p, k in enumerate(beta_keys)}
     pair_sum: list[dict] = []
     pair_sum_minus_simple: list[dict] = []
     lowering: list[dict] = []
     for r, beta_r in enumerate(betas):
         add_r = beta_keys[r].__add__
-        if all(
-            target.isdisjoint(map(add_r, keys))
-            for last, keys in by_last.items()
-            for target in targets[beta_r[-1] + last]
-        ):
+        if all(target.isdisjoint(map(add_r, beta_keys)) for target in targets):
             continue
         for s, beta_s in enumerate(betas):
             total = tuple(map(add, beta_r, beta_s))

@@ -114,15 +114,13 @@ def schur_basis(p: Partition | list[int] | tuple[int, ...]) -> Expansion:
     return Expansion({Partition(p): 1}, SCHUR)
 
 
-def _lr_candidates(mu: Partition, nu: Partition) -> list[tuple[int, ...]]:
+def _lr_candidates(mu: Partition, nu: Partition) -> list[Partition]:
     """The lam allowed by the bounds of `_mult_basis`, in descending lex order.
 
     The search places one part per row, largest first. Row k is capped by the
     part before it, by what the prefix cap leaves and by Weyl's bound
     min over i + j = k of mu_i + nu_j (0-indexed, parts padded with zeros);
     it is at least max(mu_k, nu_k) and at least its share of the boxes left.
-    Each lam is a plain tuple; the caller turns the ones it keeps into
-    Partitions.
     """
     rows = len(mu) + len(nu)
     pairs = list(zip_longest(mu, nu, fillvalue=0))
@@ -132,12 +130,13 @@ def _lr_candidates(mu: Partition, nu: Partition) -> list[tuple[int, ...]]:
     prefix_caps += [n] * (rows - len(pairs))
     m, v = mu + (0,) * rows, nu + (0,) * rows
     weyl = [min(m[i] + v[k - i] for i in range(k + 1)) for k in range(rows)]
-    out: list[tuple[int, ...]] = []
+    out: list[Partition] = []
     acc: list[int] = []
 
     def rec(i: int, prev: int, total: int) -> None:
         if total == n:
-            out.append(tuple(acc))
+            # parts positive and capped by the one before: a partition, unchecked
+            out.append(tuple.__new__(Partition, acc))
             return
         # the rest must fit in the rows left, none longer than this one
         least = max(lower[i], -((total - n) // (rows - i)))
@@ -176,7 +175,7 @@ def _mult_basis(mu: Partition, nu: Partition) -> Expansion:
     the larger factor (by size, then by tuple) as mu: it is the inner shape,
     and `_lr_count` fills only the |nu| cells of the smaller one.
     """
-    out: dict[tuple[int, ...], int] = {}
+    out: dict[Partition, int] = {}
     for lam in _lr_candidates(mu, nu):
         c = lr_coefficient(lam, mu, nu)
         if c:

@@ -212,6 +212,7 @@ def _lr_count(lam: Partition, mu: Partition, nu: Partition) -> int:
 
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Littlewood-Richardson coefficient: ballot tableaux of shape lam/mu, content nu."""
+    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
     if size(lam) != size(mu) + size(nu):
         return 0
     if not contains(lam, mu) or not contains(lam, nu):

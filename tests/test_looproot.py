@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -318,6 +319,52 @@ class TestConeMembership:
                 assert got == []
                 cut += 1
         assert cut >= 120
+
+    def test_large_coordinates(self):
+        # amounts up to 10^6, far past the oracle's reach: each listed solution
+        # must meet the target, and the list must rise strictly in lex order
+        rng = random.Random(20261021)
+        listed = 0
+        for _ in range(150):
+            family = rng.choice("BCD")
+            spec = LieSpec(family, rng.randint(MIN_RANK[family], 8))
+            betas = beta_roots(spec).roots
+            coords = [0] * spec.rank
+            for _ in range(rng.randint(1, 5) if betas else 0):
+                amount = rng.randint(1, 10 ** rng.randint(2, 6))
+                coords = [a + amount * b for a, b in zip(coords, rng.choice(betas).coords)]
+            sols = list(islice(looproot._cone_walk(elem(coords), spec), 300))
+            assert sols, (spec, coords)
+            for sol in sols:
+                total = [0] * spec.rank
+                for s, beta in zip(sol, betas):
+                    total = [t + s * b for t, b in zip(total, beta.coords)]
+                assert total == coords, (spec, coords, sol)
+            assert all(a < b for a, b in zip(sols, sols[1:])), (spec, coords)
+            listed += len(sols)
+        assert listed > 10_000
+
+    def test_large_coordinates_few_solutions(self):
+        # orthogonal (2000, 2000, 2000, 2, 0, ...): the walk used to step one
+        # unit at a time into branches without a solution, for seconds
+        spec = LieSpec("B", 12)
+        alpha = (2000, 4000, 6000) + (6002,) * 9
+        index = {label: i for i, label in enumerate(beta_roots(spec).labels)}
+        want = [
+            {(1, 2): 999, (1, 3): 999, (1, 4): 2, (2, 3): 1001},
+            {(1, 2): 999, (1, 3): 1000, (1, 4): 1, (2, 3): 1000, (2, 4): 1},
+            {(1, 2): 999, (1, 3): 1001, (2, 3): 999, (2, 4): 2},
+            {(1, 2): 1000, (1, 3): 999, (1, 4): 1, (2, 3): 1000, (3, 4): 1},
+            {(1, 2): 1000, (1, 3): 1000, (2, 3): 999, (2, 4): 1, (3, 4): 1},
+            {(1, 2): 1001, (1, 3): 999, (2, 3): 999, (3, 4): 2},
+        ]
+        sols = []
+        for amounts in want:
+            sol = [0] * len(index)
+            for label, s in amounts.items():
+                sol[index[label]] = s
+            sols.append(tuple(sol))
+        assert cone_membership(elem(alpha), spec) == sols
 
     def test_orthogonal_tail_outside_cone(self):
         # e = (9, 9, 9, 9, 9, 3): the last coordinate lies beyond l_max = 5

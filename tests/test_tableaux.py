@@ -167,6 +167,24 @@ class TestLrCoefficient:
     def test_grading(self):
         assert lr_coefficient(Partition([3]), Partition([1]), Partition([1])) == 0
 
+    @pytest.mark.parametrize(
+        "lam,mu,nu",
+        [
+            ((1, 3), (), (1, 3)),  # increasing parts: was 0
+            ((2, -1, 1), (1,), (1,)),  # a negative part: was 1
+            ((2,), (1,), (-1, 2)),
+            ((2,), (2, 0, -1), ()),
+        ],
+    )
+    def test_rejects_non_partitions(self, lam, mu, nu):
+        with pytest.raises(ValueError):
+            lr_coefficient(lam, mu, nu)
+
+    def test_accepts_plain_tuples(self):
+        # trailing zeros are stripped, as Partition does
+        assert lr_coefficient((2, 1, 0), (1,), (1, 1)) == 1
+        assert lr_coefficient([3, 2, 1], [2, 1], [2, 1]) == 2
+
     def test_symmetry_exhaustive(self):
         for lam in partitions_up_to(8):
             n = size(lam)
