@@ -1,8 +1,11 @@
 """The ring of symmetric functions in the Schur basis, with exact integers.
 
 Products use the Littlewood-Richardson rule, counting ballot tableaux per
-candidate term; skews list them. The determinant expansion and the monomial
-specialization give two independent routes to the same answers.
+candidate term; skews list them, once per canonical diagram (its
+edge-connected pieces, each up to translation, stacked in a fixed order),
+since the skew function depends only on those pieces. The determinant
+expansion and the monomial specialization give two independent routes to the
+same answers.
 """
 
 from __future__ import annotations
@@ -197,17 +200,79 @@ def mult(a: Expansion, b: Expansion) -> Expansion:
     return Expansion(out, SCHUR)
 
 
+def _skew_key(lam: Partition, nu: Partition) -> tuple[Partition, Partition]:
+    """The canonical (outer, inner) pair of the skew diagram lam/nu; nu must fit inside lam.
+
+    A piece is a maximal run of non-empty rows in which each row shares a
+    column with the non-empty row above it. Each piece is shifted so that its
+    leftmost column is 0, the pieces are sorted, and they are stacked again:
+    the first at the bottom from column 0, each next one above the ones below
+    with its leftmost column at the top right end of the piece below, so that
+    neighbours touch only at a corner. Two diagrams with the same pieces, up
+    to translation and order, get the same pair, and a canonical pair is its
+    own key.
+    """
+    pieces: list[list[int]] = []  # each piece's lo, hi per row, top row first
+    rows: list[int] = []
+    depth = len(nu)
+    for i, hi in enumerate(lam):
+        lo = nu[i] if i < depth else 0
+        if lo == hi:
+            # an empty row: the next non-empty row ends where the one above starts, or before
+            continue
+        if rows and hi <= rows[-2]:
+            pieces.append(rows)
+            rows = []
+        rows.append(lo)
+        rows.append(hi)
+    if not rows:
+        return EMPTY, EMPTY
+    if not pieces and not rows[-2] and len(rows) == 2 * len(lam):
+        # one piece, no empty row, bottom row from column 0: canonical
+        return lam, nu
+    pieces.append(rows)
+    for piece in pieces:
+        left = piece[-2]
+        if left:
+            piece[:] = [x - left for x in piece]
+    pieces.sort()
+    outer: list[int] = []
+    inner: list[int] = []
+    left = 0
+    for piece in pieces:  # bottom up, each piece bottom row first
+        for j in range(len(piece) - 2, -1, -2):
+            inner.append(piece[j] + left)
+            outer.append(piece[j + 1] + left)
+        left += piece[1]
+    outer.reverse()
+    inner.reverse()
+    while inner and not inner[-1]:
+        inner.pop()
+    # rows stacked with no shared column keep both sides weakly decreasing
+    # and positive: partitions, unchecked
+    return tuple.__new__(Partition, outer), tuple.__new__(Partition, inner)
+
+
 @lru_cache(maxsize=None)
 def skew_schur_expand(lam: Partition, nu: Partition) -> Expansion:
     """Schur expansion of the skew function lam/nu via ballot tableaux.
 
-    Zero when nu does not fit inside lam.
+    Zero when nu does not fit inside lam. Raises ValueError when lam or nu is
+    not a partition. The skew function of a diagram is the product of those
+    of its edge-connected pieces, and a piece's depends only on its shape up
+    to translation (Macdonald, *Symmetric Functions and Hall Polynomials*,
+    ch. I, section 5). So the ballot fillings are listed only for the
+    canonical diagram of `_skew_key`, and every other diagram with the same
+    pieces is a cache entry that reads that one.
     """
+    lam, nu = Partition(lam), Partition(nu)
     if not contains(lam, nu):
         return Expansion({}, SCHUR)
-    shape = SkewShape(lam, nu)
+    key = _skew_key(lam, nu)
+    if key != (lam, nu):
+        return skew_schur_expand(*key)
     out: dict[Partition, int] = {}
-    for rows in _ballot_fillings(shape):
+    for rows in _ballot_fillings(SkewShape(lam, nu)):
         counts: dict[int, int] = {}
         for row in rows:
             for v in row:

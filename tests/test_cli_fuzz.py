@@ -5,7 +5,8 @@ The CLI's contract is that each input answers (exit 0), is refused as malformed
 fixed seed and cover every verb with malformed partitions, ranks from -2 to
 10^12, one to three factors, weight entries up to 50 and several box caps.
 Each runs through ``cli.main`` in process under a SIGALRM deadline far above
-the milliseconds a bounded answer takes.
+the milliseconds a bounded answer takes. The TSV form of each answer must hold
+the rows that `test_cli.TSV_CASES` reads off its JSON form.
 """
 
 import json
@@ -15,6 +16,7 @@ import signal
 import pytest
 
 from lrwkit.cli import main
+from test_cli import TSV_CASES
 
 SEED = 20261021
 COUNT = 300
@@ -144,6 +146,21 @@ def _draws():
     return out
 
 
+def _tsv_case(argv, payload):
+    """The `TSV_CASES` entry whose row reader fits this argv and its first JSON line."""
+    args = argv[2:] if argv[0] == "--max-boxes" else argv
+    verb = args[0]
+    if verb in ("part", "schur"):
+        return f"{verb}-{args[1]}"
+    if verb == "dcoef":
+        return "dcoef-lam" if "--lam" in args else verb
+    if verb == "fermionic":
+        return "fermionic-weight" if "multiplicity" in payload else verb
+    if verb == "roots" and args[1] == "cone":
+        return "roots-cone-off-lattice" if "note" in payload else "roots-cone-alpha"
+    return f"roots-{args[1]}" if verb == "roots" else verb
+
+
 class Late(Exception):
     pass
 
@@ -184,10 +201,11 @@ def test_every_argv_answers_or_exits_cleanly(capsys):
         codes[code] = codes.get(code, 0) + 1
         assert code in (0, 2, 3), (argv, code, err)
         if code == 0:
-            for line in out.splitlines():
-                json.loads(line)
-            tsv, _, tsv_err, _ = _run(capsys, ["--format", "tsv", *argv])
+            lines = [json.loads(line) for line in out.splitlines()]
+            tsv, tsv_out, tsv_err, _ = _run(capsys, ["--format", "tsv", *argv])
             assert tsv == 0, (argv, tsv_err)
+            want = TSV_CASES[_tsv_case(argv, lines[0])][1](*lines)
+            assert tsv_out.splitlines() == ["\t".join(map(str, row)) for row in want], argv
         elif not parser_exit:
             assert err.startswith("lrwkit: ") and err.count("\n") == 1, (argv, err)
     # each outcome is reached, so the draws exercise answers and both refusals

@@ -17,6 +17,7 @@ from lrwkit.schur import (
     Expansion,
     _lr_candidates,
     _mult_basis,
+    _skew_key,
     h_monomial_to_schur,
     jacobi_trudi,
     mult,
@@ -27,7 +28,7 @@ from lrwkit.schur import (
     skew,
     skew_schur_expand,
 )
-from lrwkit.tableaux import lr_coefficient
+from lrwkit.tableaux import SkewShape, _ballot_fillings, lr_coefficient
 
 
 def exp(terms, basis=SCHUR):
@@ -211,6 +212,72 @@ class TestSkew:
                     mu = content(t)
                     grouped[mu] = grouped.get(mu, 0) + 1
                 assert grouped == skew_schur_expand(lam, nu).terms
+
+    @pytest.mark.parametrize("lam, nu", [((1, 3), (5,)), ((2, -1), (3,)), ((3,), (1, 2))])
+    def test_rejects_non_partitions(self, lam, nu):
+        # checked before containment, so an inner that does not fit still raises
+        with pytest.raises(ValueError):
+            skew_schur_expand(lam, nu)
+
+
+def _listed_expansion(lam, nu):
+    """The skew expansion counted by content over the ballot fillings of lam/nu itself."""
+    out = {}
+    for rows in _ballot_fillings(SkewShape(lam, nu)):
+        counts = {}
+        for row in rows:
+            for v in row:
+                counts[v] = counts.get(v, 0) + 1
+        mu = Partition(counts.get(v, 0) for v in range(1, len(counts) + 1))
+        out[mu] = out.get(mu, 0) + 1
+    return out
+
+
+def _stacked(pieces, gaps):
+    """(outer, inner) of pieces stacked bottom up, each given as its (lo, hi) rows
+    top first from column 0; gaps[i] columns separate piece i from the top right
+    end of the piece below it (or from column 0)."""
+    rows, left = [], 0
+    for piece, gap in zip(pieces, gaps):
+        left += gap
+        rows = [(lo + left, hi + left) for lo, hi in piece] + rows
+        left += piece[0][1]
+    return Partition([hi for _, hi in rows]), Partition([lo for lo, _ in rows])
+
+
+def _row_lengths(lam, nu):
+    return sorted(hi - lo for hi, lo in zip(lam, list(nu) + [0] * len(lam)) if hi > lo)
+
+
+class TestSkewKey:
+    def test_expansion_matches_the_diagrams_own_listing(self):
+        # the listing of the canonical diagram stands in for that of lam/nu
+        for lam in partitions_up_to(8):
+            for nu in subpartitions(lam):
+                assert skew_schur_expand(lam, nu).terms == _listed_expansion(lam, nu), (lam, nu)
+
+    def test_key_is_canonical_and_keeps_the_rows(self):
+        for lam in partitions_up_to(8):
+            for nu in subpartitions(lam):
+                outer, inner = key = _skew_key(lam, nu)
+                assert (Partition(outer), Partition(inner)) == key and contains(outer, inner)
+                assert _skew_key(outer, inner) == key
+                assert size(outer) - size(inner) == size(lam) - size(nu)
+                assert _row_lengths(outer, inner) == _row_lengths(lam, nu)
+
+    def test_same_pieces_give_the_same_key(self):
+        # a straight (2, 1), its rotation (2, 2)/(1), a row, a column, a single box
+        pieces = [((0, 2), (0, 1)), ((1, 2), (0, 2)), ((0, 3),), ((0, 1), (0, 1)), ((0, 1),)]
+        rng = random.Random(7)
+        diagrams = set()
+        for _ in range(200):
+            order = rng.sample(pieces, len(pieces))
+            diagrams.add(_stacked(order, [rng.randint(0, 3) for _ in order]))
+        assert len({_skew_key(*d) for d in diagrams}) == 1 < len(diagrams)
+        for diagram in sorted(diagrams)[:3]:  # each listing of 11 boxes is slow
+            assert skew_schur_expand(*diagram).terms == _listed_expansion(*diagram)
+        # a piece is kept up to translation only, not rotation
+        assert _skew_key(*_stacked(pieces[:1], [1])) != _skew_key(*_stacked(pieces[1:2], [0]))
 
 
 class TestOmega:
