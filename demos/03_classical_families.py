@@ -22,6 +22,8 @@ from lrwkit.verify import orthogonal_stable_product
 # Restriction of a Schur function to the classical subgroups sums
 # Littlewood-Richardson coefficients over domino-tileable inner shapes:
 # vertical dominoes for the symplectic target, horizontal for the orthogonal.
+# Its inverse is Littlewood's signed skew sum, here sp[1,1] = s[1,1] - s[],
+# a second formula that does not call the restriction.
 print("s[1,1] restricted to sp:", branch_schur(Partition([1, 1]), "sp"))
 print("s[2]   restricted to o :", branch_schur(Partition([2]), "o"))
 print("inverting the first:", to_schur(Expansion({Partition([1, 1]): 1}, "sp")))

@@ -1,9 +1,10 @@
 """Universal symplectic/orthogonal characters and the stable branching calculus.
 
 The two classical bases are reached from the Schur basis by a unitriangular
-change of basis (restriction), inverted exactly. From that come their shared
-structure constants, computed once in the symplectic basis, and the reducible
-family whose tensor products follow the Littlewood-Richardson rule.
+change of basis (restriction, a domino sum of skews), and back by Littlewood's
+signed sum of skews; neither formula calls the other. From that come their
+shared structure constants, computed once in the symplectic basis, and the
+reducible family whose tensor products follow the Littlewood-Richardson rule.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from functools import lru_cache
 from typing import Iterator, Mapping
 
 from .lie import MIN_RANK
-from .partitions import Partition, contains, size
+from .partitions import Partition, conjugate, contains, size, subpartitions
 from .schur import (
     ORTHOGONAL,
     SCHUR,
@@ -82,15 +83,9 @@ def _domino_subpartitions(lam: Partition, columns: bool) -> Iterator[Partition]:
 
 @lru_cache(maxsize=None)
 def _domino_class_sum(lam: Partition, columns: bool) -> Expansion:
-    """Sum of skew expansions of lam over all contained domino-tileable inners.
-
-    The inners come from `_domino_subpartitions`, which generates only the
-    tileable ones.
-    """
-    out: dict[Partition, int] = {}
-    for nu in _domino_subpartitions(lam, columns):
-        _accumulate(out, skew_schur_expand(lam, nu).terms)
-    return Expansion(out, SCHUR)
+    """Sum of the skews of lam by its domino-tileable inners, from `_domino_subpartitions`."""
+    inners = Expansion(dict.fromkeys(_domino_subpartitions(lam, columns), 1), SCHUR)
+    return _linear(inners, lambda nu: skew_schur_expand(lam, nu), SCHUR)
 
 
 @lru_cache(maxsize=None)
@@ -110,13 +105,17 @@ def branch_schur(lam: Partition, target: str) -> Expansion:
 def _universal_in_schur(lam: Partition, basis: str) -> Expansion:
     """One symplectic/orthogonal basis element written in the Schur basis.
 
-    Inverts the unitriangular restriction by induction on box count.
+    Littlewood's signed skew sum (King 1971; Koike-Terada 1987): sp_lam sums
+    (-1)^(|alpha|/2) s_{lam/alpha} over the alpha inside lam whose Frobenius
+    legs are one longer than their arms; for o_lam they are one shorter.
     """
-    out: dict[Partition, int] = {lam: 1}
-    for mu, c in branch_schur(lam, basis).terms.items():
-        if mu != lam:
-            _accumulate(out, _universal_in_schur(mu, basis).terms, -c)
-    return Expansion(out, SCHUR)
+    shift = 1 if basis == SYMPLECTIC else -1
+    signed = {
+        alpha: -1 if size(alpha) % 4 == 2 else 1
+        for alpha in subpartitions(lam)
+        if all(c == a + shift for i, (a, c) in enumerate(zip(alpha, conjugate(alpha))) if a > i)
+    }
+    return _linear(Expansion(signed, SCHUR), lambda nu: skew_schur_expand(lam, nu), SCHUR)
 
 
 def to_schur(a: Expansion) -> Expansion:
@@ -239,8 +238,9 @@ def min_stable_rank(lam: Partition, lie_type: str) -> int:
 
     The type's family is ``UNIVERSAL_FAMILY[lie_type]``. The character needs
     rank rows + 1 (rows + 2 on D), and the answer is never below the smallest
-    rank `LieSpec` accepts for the type.
+    rank `LieSpec` accepts for the type. Raises ValueError when lam is not a
+    partition.
     """
     if lie_type not in UNIVERSAL_FAMILY:
         raise ValueError(f"type must be one of {tuple(UNIVERSAL_FAMILY)}, got {lie_type!r}")
-    return max(len(lam) + (2 if lie_type == "D" else 1), MIN_RANK[lie_type])
+    return max(len(Partition(lam)) + (2 if lie_type == "D" else 1), MIN_RANK[lie_type])

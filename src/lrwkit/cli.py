@@ -240,9 +240,9 @@ def _cmd_dcoef(args: argparse.Namespace) -> Answer:
     nu = parse_partition(args.nu)
     family = _family_tag(args.family)
     _check_cap(size(mu) + size(nu), args.max_boxes, "tensor expansion")
+    lam = None if args.lam is None else parse_partition(args.lam)
     expansion = classical.stable_tensor_expansion(mu, nu, family)
-    if args.lam is not None:
-        lam = parse_partition(args.lam)
+    if lam is not None:
         payload = {"mu": list(mu), "nu": list(nu), "lam": list(lam),
                    "family": family, "coefficient": expansion.coefficient(lam)}
         return [payload], lambda j: [[j["coefficient"]]], None

@@ -108,16 +108,20 @@ class TestToSchur:
         with pytest.raises(ValueError):
             to_schur(schur_basis([1]))
 
+    # The two round trips compare two formulas: restriction is the domino sum
+    # of `branch_schur`, and `to_schur` is Littlewood's signed skew sum, which
+    # is computed without calling `branch_schur`. Each fails if either one
+    # takes the wrong domino class, sign or Frobenius shift.
     def test_round_trip_exhaustive(self):
         from lrwkit.classical import _branch_expansion
 
-        for lam in partitions_up_to(8):
+        for lam in partitions_up_to(10):
             for family in (SYMPLECTIC, ORTHOGONAL):
                 start = exp({tuple(lam): 1}, family)
                 assert _branch_expansion(to_schur(start), family) == start
 
     def test_branch_then_invert_exhaustive(self):
-        for lam in partitions_up_to(8):
+        for lam in partitions_up_to(10):
             for family in (SYMPLECTIC, ORTHOGONAL):
                 assert to_schur(branch_schur(lam, family)) == schur_basis(lam)
 
@@ -146,6 +150,14 @@ class TestStableTensor:
             assert stable_tensor_expansion(mu, nu, family) is stable_tensor_expansion(
                 nu, mu, family
             )
+
+    @pytest.mark.parametrize("bad", [(1, 3), (2, -1), (-1,)])
+    def test_not_a_partition(self, bad):
+        for family in FAMILIES:
+            with pytest.raises(ValueError):
+                stable_tensor_expansion(bad, Partition([1]), family)
+            with pytest.raises(ValueError):
+                stable_tensor_expansion(Partition([1]), bad, family)
 
     def test_families_share_one_product(self):
         mu, nu = Partition([2, 1]), Partition([3, 1])
@@ -316,6 +328,11 @@ class TestMinStableRank:
         for bad in ("o", "sp", "o_odd", "A"):
             with pytest.raises(ValueError):
                 min_stable_rank(Partition([1]), bad)
+
+    @pytest.mark.parametrize("bad", [(1, 3), (2, -1), (-1,)])
+    def test_not_a_partition(self, bad):
+        with pytest.raises(ValueError):
+            min_stable_rank(bad, "B")
 
 
 READ_ONLY_RESULTS = {

@@ -459,6 +459,19 @@ class TestExitCodes:
         assert code == 2
         assert "bad partition" in err
 
+    def test_dcoef_checks_lam_before_the_expansion(self, capsys, monkeypatch):
+        from lrwkit import classical
+
+        def expand(*args):
+            raise AssertionError("the expansion ran before --lam was checked")
+
+        monkeypatch.setattr(classical, "stable_tensor_expansion", expand)
+        code, out, err = run(
+            capsys, "--max-boxes", "24", "dcoef", "5,4,3", "5,4,3", "--family", "o", "--lam", "x"
+        )
+        assert (code, out) == (2, "")
+        assert "bad partition" in err
+
     def test_cap_exceeded(self, capsys):
         code, _, err = run(capsys, "wdecomp", "6,6,6,6,6", "--family", "o")
         assert code == 3
