@@ -2,8 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 tests/mutants.py            # every row
-    python3 tests/mutants.py NAME ...   # only the named rows
+    python3 tests/mutants.py
 
 For each row the script copies src/, tests/ and demos/ to a temporary
 directory, replaces the row's ``old`` snippet (which must occur exactly once
@@ -146,21 +145,17 @@ def apply(tree: Path, mutant: Mutant) -> None:
     path.write_text(text.replace(mutant.old, mutant.new))
 
 
-def main(argv: list[str]) -> int:
-    rows = [m for m in MUTANTS if not argv or m.name in argv]
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        raise SystemExit(f"unknown rows: {', '.join(sorted(unknown))}")
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="lrwkit-mutants-") as tmp:
         clean = Path(tmp) / "clean"
         copy_tree(clean)
-        every_test = tuple(dict.fromkeys(t for m in rows for t in m.tests))
+        every_test = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
         broken = failed_tests(clean, every_test)
         if broken:
             print("these tests fail with no mutation:", *sorted(broken), sep="\n  ")
             return 1
         survivors = 0
-        for k, mutant in enumerate(rows):
+        for k, mutant in enumerate(MUTANTS):
             tree = Path(tmp) / f"row{k}"
             copy_tree(tree)
             apply(tree, mutant)
@@ -172,9 +167,9 @@ def main(argv: list[str]) -> int:
             else:
                 print(f"killed   {mutant.name}{note} by {', '.join(mutant.tests)}")
             shutil.rmtree(tree)
-    print(f"{len(rows) - survivors} of {len(rows)} killed")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} killed")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
